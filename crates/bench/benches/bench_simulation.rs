@@ -114,7 +114,10 @@ fn main() {
     // starts from the same cold optimizer-setting cache.
     let sim = Simulator::paper_default().unwrap();
     let available = h2p_exec::worker_count().get();
-    let workers = available.max(4);
+    // One lane per available core, but at least two so the
+    // sequential-vs-parallel bit-identity check really splits the work
+    // (more lanes than cores would time oversubscription instead).
+    let workers = available.max(2);
 
     // 1. Dense stepper, sequential.
     let t_seq = Instant::now();
@@ -244,9 +247,9 @@ fn main() {
         // the profile's shared OU component (sigma 0.006/step), which
         // crosses a +/-0.01 band about every fifth step: measured
         // eval ratio 20.6 % = a 4.85x evaluation reduction, the
-        // binding constraint on the wall-clock win (measured 4.7x vs
-        // the sharded dense engine once the adaptive dispatch stops
-        // spawning lanes for small dirty sets). The assert pins the
+        // binding constraint on the wall-clock win (held
+        // circulation-steps cost a comparison, not an evaluation, in
+        // their lane). The assert pins the
         // measured ratio with a little seed headroom; wall-clock is
         // reported, not asserted, because host timing varies.
         assert!(

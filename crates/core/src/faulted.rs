@@ -47,14 +47,15 @@
 //! # Determinism
 //!
 //! All fault effects are pure functions of `(plan, circulation, step)`,
-//! evaluation stays sharded by circulation exactly as in the plan-free
-//! engine, and partials merge in circulation-index order — so runs are
-//! bit-identical across worker counts, and a zero-fault plan reproduces
-//! the plan-free engine bit-for-bit (both paths share
-//! `Simulator::fold_step` and `Simulator::simulate_circulation`).
+//! so the plan rides the engine's one driver as an [`Overlay`]: lanes
+//! stay one circulation across all steps, and partials fold in
+//! circulation-index order — runs are bit-identical across worker
+//! counts, and a zero-fault plan reproduces the plan-free engine
+//! bit-for-bit (both share `StepFold` and
+//! `Simulator::simulate_circulation`).
 
-use crate::kernel::ChangeKernel;
-use crate::simulation::{CircPartial, SimulationResult, Simulator};
+use crate::driver::{At, Overlay, Source};
+use crate::simulation::{CircPartial, SimulationResult, Simulator, StepFold, StepRecord};
 use crate::H2pError;
 use h2p_cooling::CoolingOptimizer;
 use h2p_faults::{
@@ -62,10 +63,9 @@ use h2p_faults::{
 };
 use h2p_sched::SchedulingPolicy;
 use h2p_server::ThrottleController;
-use h2p_units::{Celsius, LitersPerHour, Seconds, Utilization, Watts};
+use h2p_units::{Celsius, LitersPerHour, Utilization, Watts};
 use h2p_workload::ClusterTrace;
 use std::collections::HashMap;
-use std::num::NonZeroUsize;
 
 /// Result of a fault-injected run: the degraded-world series plus the
 /// degradation account.
@@ -115,6 +115,72 @@ impl FaultedPartial {
     }
 }
 
+/// One control interval's reduction of [`FaultedPartial`]s: both
+/// worlds' folds plus the ledger's attribution and counters.
+#[derive(Default)]
+struct FaultFold {
+    faulted: StepFold,
+    healthy: StepFold,
+    attr_sensor: f64,
+    attr_pump: f64,
+    attr_teg: f64,
+    throttled: u64,
+    fallback: u64,
+    offline: u64,
+    faulted_active: u64,
+}
+
+/// A compiled fault plan as the driver's overlay, with an optimizer
+/// resolved for every plausible corrupted cold reading of the run.
+struct FaultOverlay<'s> {
+    compiled: CompiledFaults,
+    /// Optimizers by sensed reading bits. `None` records that
+    /// construction failed for that reading — such circulations take
+    /// the clamped fallback instead.
+    sensed: HashMap<u64, Option<CoolingOptimizer<'s>>>,
+}
+
+impl Overlay for FaultOverlay<'_> {
+    type Partial = FaultedPartial;
+    type Fold = FaultFold;
+
+    fn live(&self, circ: usize, step: usize) -> bool {
+        self.compiled.active_at(circ, step).is_some()
+    }
+
+    fn evaluate(
+        &self,
+        sim: &Simulator,
+        at: At<'_, '_>,
+        chunk: &[Utilization],
+        policy: &dyn SchedulingPolicy,
+    ) -> Result<FaultedPartial, H2pError> {
+        sim.simulate_circulation_faulted(self, at, chunk, policy)
+    }
+
+    /// A held decision is always fault-free: it replays through the
+    /// same passthrough a fault-free evaluation takes.
+    fn replay(held: CircPartial) -> FaultedPartial {
+        FaultedPartial::healthy_passthrough(held)
+    }
+
+    fn anchor(partial: &FaultedPartial) -> Option<CircPartial> {
+        (!partial.faulted_active).then_some(partial.faulted)
+    }
+
+    fn add(fold: &mut FaultFold, p: &FaultedPartial) {
+        fold.faulted.add(p.faulted);
+        fold.healthy.add(p.healthy);
+        fold.attr_sensor += p.attr_sensor;
+        fold.attr_pump += p.attr_pump;
+        fold.attr_teg += p.attr_teg;
+        fold.throttled += p.throttled;
+        fold.fallback += u64::from(p.fallback);
+        fold.offline += u64::from(p.offline);
+        fold.faulted_active += u64::from(p.faulted_active);
+    }
+}
+
 /// The cooling setting one degraded layer runs under.
 #[derive(Clone, Copy)]
 struct LayerSetting {
@@ -151,210 +217,64 @@ impl Simulator {
         policy: &dyn SchedulingPolicy,
         plan: &FaultPlan,
     ) -> Result<FaultedRun, H2pError> {
+        let source = Source::Trace(cluster);
         let servers = cluster.servers();
-        let circ_size = self.config.servers_per_circulation.min(servers).max(1);
-        let circ_chunk = NonZeroUsize::new(circ_size).unwrap_or(NonZeroUsize::MIN);
-        let interval = cluster.interval();
-        let compiled = plan.compile(servers, circ_size, cluster.steps());
-        let mut ledger = FaultLedger::new(interval);
-        let mut steps = Vec::with_capacity(cluster.steps());
-        // True-cold optimizers, hoisted per distinct cold value exactly
-        // as in the plan-free engine.
-        let mut optimizers: HashMap<u64, CoolingOptimizer<'_>> = HashMap::new();
-        // Optimizers for *corrupted* (sensed) cold values. `None`
-        // records that construction failed for that reading — such
-        // circulations take the clamped fallback instead.
-        let mut sensed_optimizers: HashMap<u64, Option<CoolingOptimizer<'_>>> = HashMap::new();
-        let n_circs = servers.div_ceil(circ_size);
-        // With a kernel configured, the fault plan's activation and
-        // recovery edges become forced re-evaluation events; a live
-        // fault additionally pins its circulation dirty every step and
-        // its evaluation is never committed as a hold, so degradation
-        // can neither be skipped nor replayed after recovery.
-        let mut kernel = self.kernel.map(|tolerance| {
-            ChangeKernel::new(tolerance, n_circs).with_forced_events(compiled.evaluation_events())
-        });
-        let mut dirty: Vec<usize> = Vec::with_capacity(n_circs);
-        let mut u_ctrls: Vec<f64> = vec![0.0; n_circs];
-
+        let compiled = plan.compile(servers, self.circulation_size(servers), cluster.steps());
+        // Resolve every corrupted reading up front, so lanes only
+        // *read* the optimizer map. Sensed readings are pure functions
+        // of (plan, circulation, step), so this cannot perturb
+        // determinism.
+        let mut sensed = HashMap::new();
         for step in 0..cluster.steps() {
-            let step_span = self.telemetry.registry.span(&self.telemetry.step_wall);
-            let t0 = self.telemetry.registry.now_nanos();
-            let time = Seconds::new(interval.value() * step as f64);
-            let cold = self.config.cold_source.temperature(time);
-            let cold_bits = cold.value().to_bits();
-            if let std::collections::hash_map::Entry::Vacant(entry) = optimizers.entry(cold_bits) {
-                entry.insert(self.new_optimizer(cold)?);
+            let cold = self.config.cold_source.temperature(source.time(step));
+            for reading in compiled.plausible_readings(step, cold) {
+                sensed
+                    .entry(reading.value().to_bits())
+                    .or_insert_with(|| self.new_optimizer(reading).ok());
             }
-            // Pre-resolve every corrupted reading this step needs, so
-            // the parallel shards only *read* the optimizer maps.
-            // Sensed readings are pure functions of (plan, circ, step),
-            // so this sequential scan cannot perturb determinism.
-            for circ in 0..n_circs {
-                if let Some(active) = compiled.active_at(circ, step) {
-                    if let Some(sensor) = active.sensor {
-                        let sensed = sensor.corrupt(cold);
-                        if compiled.is_plausible(sensed) {
-                            sensed_optimizers
-                                .entry(sensed.value().to_bits())
-                                .or_insert_with(|| self.new_optimizer(sensed).ok());
-                        }
-                    }
-                }
-            }
-            let optimizer = &optimizers[&cold_bits];
-            let sensed_opts = &sensed_optimizers;
-
-            let loads = cluster.utilizations_at(step);
-            let evaluate = |circ: usize, chunk: &[Utilization]| {
-                let t0 = self.telemetry.registry.now_nanos();
-                let partial = self.simulate_circulation_faulted(
-                    circ,
-                    step,
-                    chunk,
-                    policy,
-                    optimizer,
-                    sensed_opts,
-                    cold,
-                    &compiled,
-                );
-                self.telemetry
-                    .circ_wall
-                    .record(self.telemetry.registry.now_nanos().saturating_sub(t0));
-                partial
-            };
-            let partials: Vec<FaultedPartial> = match kernel.as_mut() {
-                None => h2p_exec::try_par_chunks_observed(
-                    &self.telemetry.pool,
-                    self.workers,
-                    &loads,
-                    circ_chunk,
-                    evaluate,
-                )?,
-                Some(kernel) => {
-                    // Classify sequentially in circulation-index order:
-                    // fault-touched circulations are forced dirty (and
-                    // their holds discarded), the rest go through the
-                    // change rule.
-                    kernel.begin_step(step);
-                    dirty.clear();
-                    let mut forced = 0usize;
-                    for (circ, chunk) in loads.chunks(circ_size).enumerate() {
-                        let u_ctrl = policy.control_utilization(chunk).value();
-                        u_ctrls[circ] = u_ctrl;
-                        if kernel.is_forced(circ) || compiled.active_at(circ, step).is_some() {
-                            kernel.force(circ);
-                            forced += 1;
-                            dirty.push(circ);
-                        } else if kernel.is_dirty(circ, chunk, u_ctrl, cold.value()) {
-                            dirty.push(circ);
-                        }
-                    }
-                    // Small dirty sets run inline — same dispatch rule
-                    // as the fault-free kernel path; lane count never
-                    // changes results.
-                    let lanes = NonZeroUsize::new(
-                        (dirty.len() / Simulator::MIN_DIRTY_PER_LANE).clamp(1, self.workers.get()),
-                    )
-                    .unwrap_or(NonZeroUsize::MIN);
-                    let fresh = h2p_exec::try_par_sparse_chunks_observed(
-                        &self.telemetry.pool,
-                        lanes,
-                        &loads,
-                        circ_chunk,
-                        &dirty,
-                        evaluate,
-                    )?;
-                    // Merge: clean circulations replay their held
-                    // *healthy* partial through the same passthrough a
-                    // dense fault-free evaluation takes.
-                    let mut merged: Vec<FaultedPartial> = (0..n_circs)
-                        .map(|circ| {
-                            FaultedPartial::healthy_passthrough(
-                                kernel
-                                    .held_partial(circ)
-                                    .unwrap_or_else(CircPartial::offline),
-                            )
-                        })
-                        .collect();
-                    debug_assert_eq!(fresh.len(), dirty.len());
-                    for (&circ, partial) in dirty.iter().zip(&fresh) {
-                        merged[circ] = *partial;
-                    }
-                    // Commit only fault-free evaluations: a partial
-                    // computed under an active fault must never replay
-                    // after recovery.
-                    for (&circ, partial) in dirty.iter().zip(&fresh) {
-                        if !partial.faulted_active {
-                            let start = circ * circ_size;
-                            let end = start.saturating_add(circ_size).min(loads.len());
-                            kernel.commit(
-                                circ,
-                                &loads[start..end],
-                                u_ctrls[circ],
-                                cold.value(),
-                                partial.faulted,
-                            );
-                        }
-                    }
-                    kernel.note_step(dirty.len(), n_circs - dirty.len());
-                    let elapsed = self.telemetry.registry.now_nanos().saturating_sub(t0);
-                    self.telemetry.note_kernel_step(
-                        dirty.len(),
-                        n_circs - dirty.len(),
-                        forced,
-                        elapsed,
-                    );
-                    merged
-                }
-            };
-            compiled.journal_transitions_at(&self.telemetry.registry, step);
-
-            // Deterministic merge, circulation-index order. The faulted
-            // world goes through the same fold as the plan-free engine;
-            // the healthy counterfactual feeds the ledger.
-            let faulted_rec = self.fold_step(time, servers, partials.iter().map(|p| p.faulted));
-            let healthy_rec = self.fold_step(time, servers, partials.iter().map(|p| p.healthy));
-            let n = servers as f64;
-            let totals = |r: &crate::simulation::StepRecord| StepPowers {
-                teg: Watts::new(r.teg_power_per_server.value() * n),
-                it: Watts::new(r.cpu_power_per_server.value() * n),
-                pump: Watts::new(r.pump_power_per_server.value() * n),
-                plant: Watts::new(r.cooling_power_per_server.value() * n),
-            };
-            ledger.record_step(totals(&healthy_rec), totals(&faulted_rec));
-            let mut attr = StepAttribution::zero();
-            let mut attr_sensor = 0.0;
-            let mut attr_pump = 0.0;
-            let mut attr_teg = 0.0;
-            for p in &partials {
-                attr_sensor += p.attr_sensor;
-                attr_pump += p.attr_pump;
-                attr_teg += p.attr_teg;
-                ledger.note_throttled(p.throttled);
-                if p.fallback {
-                    ledger.note_fallback();
-                }
-                if p.offline {
-                    ledger.note_offline();
-                }
-                if p.faulted_active {
-                    ledger.note_faulted_circulation();
-                }
-            }
-            attr.sensor = Watts::new(attr_sensor);
-            attr.pump = Watts::new(attr_pump);
-            attr.teg = Watts::new(attr_teg);
-            ledger.record_attribution(attr);
-
-            steps.push(faulted_rec);
-            self.telemetry.note_step();
-            step_span.finish();
         }
-        self.telemetry.note_run();
+        let overlay = FaultOverlay { compiled, sensed };
+        let folds = self.drive(&source, policy, &overlay)?;
+
+        // The faulted world goes through the same fold as the plan-free
+        // engine; the healthy counterfactual feeds the ledger.
+        let n = servers as f64;
+        let totals = |r: &StepRecord| StepPowers {
+            teg: Watts::new(r.teg_power_per_server.value() * n),
+            it: Watts::new(r.cpu_power_per_server.value() * n),
+            pump: Watts::new(r.pump_power_per_server.value() * n),
+            plant: Watts::new(r.cooling_power_per_server.value() * n),
+        };
+        let mut ledger = FaultLedger::new(cluster.interval());
+        let mut steps = Vec::with_capacity(folds.len());
+        for (step, fold) in folds.iter().enumerate() {
+            overlay
+                .compiled
+                .journal_transitions_at(&self.telemetry.registry, step);
+            let time = source.time(step);
+            let faulted_rec = self.finish_step(time, servers, &fold.faulted);
+            let healthy_rec = self.finish_step(time, servers, &fold.healthy);
+            ledger.record_step(totals(&healthy_rec), totals(&faulted_rec));
+            ledger.note_throttled(fold.throttled);
+            for _ in 0..fold.fallback {
+                ledger.note_fallback();
+            }
+            for _ in 0..fold.offline {
+                ledger.note_offline();
+            }
+            for _ in 0..fold.faulted_active {
+                ledger.note_faulted_circulation();
+            }
+            let mut attr = StepAttribution::zero();
+            attr.sensor = Watts::new(fold.attr_sensor);
+            attr.pump = Watts::new(fold.attr_pump);
+            attr.teg = Watts::new(fold.attr_teg);
+            ledger.record_attribution(attr);
+            steps.push(faulted_rec);
+        }
 
         Ok(FaultedRun {
-            result: SimulationResult::from_parts(policy.name(), interval, servers, steps),
+            result: SimulationResult::from_parts(policy.name(), cluster.interval(), servers, steps),
             ledger,
         })
     }
@@ -392,21 +312,23 @@ impl Simulator {
     /// One circulation-step under faults: healthy layer first (the
     /// counterfactual), then the degraded layers. Pure in its inputs,
     /// like `simulate_circulation`.
-    #[allow(clippy::too_many_arguments)]
     fn simulate_circulation_faulted(
         &self,
-        circ: usize,
-        step: usize,
+        overlay: &FaultOverlay<'_>,
+        at: At<'_, '_>,
         chunk: &[Utilization],
         policy: &dyn SchedulingPolicy,
-        optimizer: &CoolingOptimizer<'_>,
-        sensed_opts: &HashMap<u64, Option<CoolingOptimizer<'_>>>,
-        cold: Celsius,
-        compiled: &CompiledFaults,
     ) -> Result<FaultedPartial, H2pError> {
+        let At {
+            circ,
+            step,
+            cold,
+            optimizer,
+        } = at;
+        let compiled = &overlay.compiled;
         // Layer H — exactly the plan-free computation (shared code, so
         // a zero-fault plan is bit-identical by construction).
-        let healthy = self.simulate_circulation(chunk, policy, optimizer, cold, true)?;
+        let healthy = self.simulate_circulation(chunk, policy, optimizer, cold)?;
         let Some(active) = compiled.active_at(circ, step) else {
             return Ok(FaultedPartial::healthy_passthrough(healthy));
         };
@@ -438,10 +360,11 @@ impl Simulator {
         let setting_s: LayerSetting = if let Some(sensor) = active.sensor {
             let sensed = sensor.corrupt(cold);
             let served = if compiled.is_plausible(sensed) {
-                sensed_opts
+                overlay
+                    .sensed
                     .get(&sensed.value().to_bits())
                     .and_then(Option::as_ref)
-                    .and_then(|opt| self.optimized_setting(opt, u_ctrl, sensed, true).ok())
+                    .and_then(|opt| self.optimized_setting(opt, u_ctrl, sensed).ok())
             } else {
                 None
             };
@@ -457,7 +380,7 @@ impl Simulator {
                 }
             }
         } else {
-            let chosen = self.optimized_setting(optimizer, u_ctrl, cold, true)?;
+            let chosen = self.optimized_setting(optimizer, u_ctrl, cold)?;
             LayerSetting {
                 flow: chosen.setting.flow,
                 inlet: chosen.setting.inlet,
@@ -659,6 +582,46 @@ mod tests {
             faulted.ledger.healthy_harvest(),
             faulted.ledger.faulted_harvest()
         );
+    }
+
+    #[test]
+    fn lane_forcing_rule_covers_every_fault_event() {
+        // A kernel lane forces a fresh evaluation when a fault is live
+        // or was live one step earlier. That is exactly the plan's
+        // evaluation-event set plus its live steps.
+        let plan = FaultPlan::from_events(
+            vec![
+                FaultEvent::permanent(
+                    FaultKind::TegOpenCircuit {
+                        server: 3,
+                        failed_devices: 4,
+                    },
+                    2,
+                ),
+                FaultEvent::windowed(FaultKind::PumpOutage { circulation: 1 }, 3, 9),
+                FaultEvent::windowed(
+                    FaultKind::SensorNoise {
+                        circulation: 0,
+                        sigma: DegC::new(2.0),
+                    },
+                    5,
+                    7,
+                ),
+                FaultEvent::windowed(FaultKind::CduOutage { circulation: 2 }, 6, 8),
+            ],
+            5,
+        )
+        .unwrap();
+        let compiled = plan.compile(90, 40, 12);
+        let events = compiled.evaluation_events();
+        let live = |circ: usize, step: usize| compiled.active_at(circ, step).is_some();
+        for step in 0..12 {
+            for circ in 0..3 {
+                let lane = live(circ, step) || (step > 0 && live(circ, step - 1));
+                let queued = events.get(&step).is_some_and(|c| c.contains(&circ));
+                assert_eq!(lane, queued || live(circ, step), "circ {circ} step {step}");
+            }
+        }
     }
 
     #[test]

@@ -1,20 +1,18 @@
 //! The change-detection event kernel behind [`Simulator`]'s
 //! tolerant engine path (DESIGN.md §13).
 //!
-//! The legacy engine is a fixed stepper: every circulation is
-//! re-simulated every control interval even when its load barely moves.
-//! The kernel turns each interval into an *event set*: a circulation is
-//! re-evaluated only when
+//! Without a kernel the engine re-simulates every circulation every
+//! control interval, even when its load barely moves. With one, each
+//! engine lane (one circulation across all control intervals)
+//! re-evaluates its circulation only when
 //!
 //! 1. its control utilization or the cold-source temperature has moved
 //!    beyond the configured [`KernelTolerance`] since the last
 //!    evaluation (a **change event**),
-//! 2. a fault window opens or closes on it, or a fault is live
-//!    (a **forced event**, fed from
-//!    [`CompiledFaults::evaluation_events`](h2p_faults::CompiledFaults::evaluation_events)),
-//!    or
-//! 3. it has no held decision yet (first step, or the hold was
-//!    invalidated by a forced event).
+//! 2. a fault is live on it or recovered this step (a **forced
+//!    event**; the lane discards its hold), or
+//! 3. it has no held decision yet (first step, or after a forced
+//!    event).
 //!
 //! Everything else **holds**: the circulation's last committed
 //! [`CircPartial`] is replayed into the interval fold unchanged.
@@ -28,10 +26,10 @@
 //! function of `(chunk, cold)` (the optimizer is hoisted per cold
 //! value, the setting cache is exact-keyed), replaying the held partial
 //! returns the very bits a re-evaluation would — so `tolerance = 0`
-//! kernel runs are bit-identical to the legacy stepper, which stays in
-//! the tree as the oracle (`tests/kernel_transparency.rs`).
+//! kernel runs are bit-identical to runs without a kernel, which stay
+//! the oracle (`tests/kernel_transparency.rs`).
 //!
-//! At `tolerance > 0` the dirty rule is the paper-facing one: compare
+//! At `tolerance > 0` the change rule is the paper-facing one: compare
 //! the *control utilization* (the only load statistic the cooling
 //! decision consumes) and the cold temperature against the **anchor**
 //! values of the last evaluation. Comparing against the anchor — not
@@ -41,16 +39,13 @@
 //!
 //! # Determinism
 //!
-//! The dirty set is classified sequentially in circulation-index order,
-//! the forced-event queue is a `BTreeMap` keyed by step, and held state
-//! lives in a `Vec` indexed by circulation — no iteration order in this
-//! module depends on a hash seed (h2p-lint L8), and nothing here reads
-//! clocks or RNG (L9).
+//! A hold is per circulation and lane-local, so classification never
+//! depends on how circulations were sharded; nothing here reads clocks
+//! or RNG (h2p-lint L9).
 
 use crate::simulation::CircPartial;
 use crate::H2pError;
 use h2p_units::Utilization;
-use std::collections::BTreeMap;
 
 #[cfg(doc)]
 use crate::simulation::Simulator;
@@ -121,7 +116,8 @@ impl KernelTolerance {
     }
 }
 
-/// Cumulative evaluated/held/forced accounting for one kernel run.
+/// Evaluated/held/forced accounting of a kernel run (one lane's tally,
+/// exposed through the `engine.circulations_*` counters).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 #[non_exhaustive]
 pub struct KernelStats {
@@ -130,15 +126,17 @@ pub struct KernelStats {
     pub evaluated: u64,
     /// Circulation-steps answered from held decisions.
     pub held: u64,
-    /// The subset of `evaluated` demanded by the forced-event queue or
-    /// a live fault, regardless of load movement.
+    /// The subset of `evaluated` demanded by a live or just-recovered
+    /// fault, regardless of load movement.
     pub forced: u64,
 }
 
 /// The last committed decision of one circulation: the comparison
-/// anchor plus the partial that replays on a hold.
+/// anchor plus the partial that replays on a hold. Each engine lane
+/// owns one circulation across every control interval, so its hold is
+/// a lane-local `Option<HeldDecision>`.
 #[derive(Debug, Clone)]
-struct HeldDecision {
+pub(crate) struct HeldDecision {
     /// The load chunk the decision was evaluated under (exact mode
     /// compares it bitwise).
     loads: Vec<Utilization>,
@@ -147,138 +145,47 @@ struct HeldDecision {
     /// Cold-source temperature at evaluation, °C.
     cold: f64,
     /// The committed per-circulation aggregate.
-    partial: CircPartial,
+    pub(crate) partial: CircPartial,
 }
 
-/// Per-run change-detection state: one held decision per circulation
-/// plus the forced-event queue (step → circulations that must
-/// re-evaluate at that step).
-#[derive(Debug, Clone)]
-pub(crate) struct ChangeKernel {
-    tolerance: KernelTolerance,
-    held: Vec<Option<HeldDecision>>,
-    /// Forced re-evaluation events, keyed by step. `BTreeMap` + sorted
-    /// `Vec` values keep replay order deterministic (h2p-lint L8).
-    forced: BTreeMap<usize, Vec<usize>>,
-    /// The forced circulations of the step being classified (sorted).
-    current_forced: Vec<usize>,
-    stats: KernelStats,
-}
-
-impl ChangeKernel {
-    /// A kernel for `circulations` circulations with no forced events.
-    pub(crate) fn new(tolerance: KernelTolerance, circulations: usize) -> Self {
-        ChangeKernel {
-            tolerance,
-            held: vec![None; circulations],
-            forced: BTreeMap::new(),
-            current_forced: Vec::new(),
-            stats: KernelStats::default(),
+impl HeldDecision {
+    /// Commits a fresh evaluation as the circulation's anchor.
+    pub(crate) fn new(chunk: &[Utilization], u_ctrl: f64, cold: f64, partial: CircPartial) -> Self {
+        HeldDecision {
+            loads: chunk.to_vec(),
+            u_control: u_ctrl,
+            cold,
+            partial,
         }
     }
 
-    /// Installs the forced-event queue (fault activation/recovery
-    /// edges and live noise windows, from
-    /// [`CompiledFaults::evaluation_events`](h2p_faults::CompiledFaults::evaluation_events)).
-    pub(crate) fn with_forced_events(mut self, forced: BTreeMap<usize, Vec<usize>>) -> Self {
-        self.forced = forced;
-        self
-    }
-
-    /// Starts classifying `step`: loads the step's forced set.
-    pub(crate) fn begin_step(&mut self, step: usize) {
-        self.current_forced.clear();
-        if let Some(circs) = self.forced.get(&step) {
-            self.current_forced.extend_from_slice(circs);
-        }
-    }
-
-    /// Whether the forced-event queue demands `circ` this step.
-    pub(crate) fn is_forced(&self, circ: usize) -> bool {
-        self.current_forced.binary_search(&circ).is_ok()
-    }
-
-    /// Classifies one circulation against its held decision: `true`
-    /// means re-evaluate (a change event or a cold start), `false`
-    /// means the held partial replays. Forced events are classified by
-    /// [`force`](Self::force), not here.
+    /// Whether this decision still answers for the circulation: `true`
+    /// replays [`partial`](Self::partial), `false` is a change event.
     ///
     /// Exact mode holds only on a bitwise match of the full load chunk
     /// and the cold temperature; tolerant mode compares `u_control` and
     /// `cold` against the anchor with NaN-rejecting guards (a NaN on
     /// either side re-evaluates).
-    pub(crate) fn is_dirty(
+    pub(crate) fn holds(
         &self,
-        circ: usize,
+        tolerance: KernelTolerance,
         chunk: &[Utilization],
         u_ctrl: f64,
         cold: f64,
     ) -> bool {
-        let Some(held) = self.held.get(circ).and_then(Option::as_ref) else {
-            return true;
-        };
-        if self.tolerance.is_exact() {
-            held.cold.to_bits() != cold.to_bits()
-                || held.loads.len() != chunk.len()
-                || held
+        if tolerance.is_exact() {
+            self.cold.to_bits() == cold.to_bits()
+                && self.loads.len() == chunk.len()
+                && self
                     .loads
                     .iter()
                     .zip(chunk)
-                    .any(|(a, b)| a.value().to_bits() != b.value().to_bits())
+                    .all(|(a, b)| a.value().to_bits() == b.value().to_bits())
         } else {
-            // `!(x <= tol)` so NaN deltas classify dirty, never hold.
-            !((u_ctrl - held.u_control).abs() <= self.tolerance.utilization)
-                || !((cold - held.cold).abs() <= self.tolerance.cold)
+            // `x <= tol` so NaN deltas never hold.
+            (u_ctrl - self.u_control).abs() <= tolerance.utilization
+                && (cold - self.cold).abs() <= tolerance.cold
         }
-    }
-
-    /// Marks `circ` as force-evaluated this step: its held decision is
-    /// discarded (a post-recovery hold must never replay state
-    /// committed under different fault conditions).
-    pub(crate) fn force(&mut self, circ: usize) {
-        if let Some(slot) = self.held.get_mut(circ) {
-            *slot = None;
-        }
-        self.stats.forced += 1;
-    }
-
-    /// The held partial for a circulation classified clean. `None` for
-    /// a dirty circulation (the caller overwrites those slots).
-    pub(crate) fn held_partial(&self, circ: usize) -> Option<CircPartial> {
-        self.held
-            .get(circ)
-            .and_then(Option::as_ref)
-            .map(|h| h.partial)
-    }
-
-    /// Commits a fresh evaluation as the circulation's new anchor.
-    pub(crate) fn commit(
-        &mut self,
-        circ: usize,
-        chunk: &[Utilization],
-        u_ctrl: f64,
-        cold: f64,
-        partial: CircPartial,
-    ) {
-        if let Some(slot) = self.held.get_mut(circ) {
-            *slot = Some(HeldDecision {
-                loads: chunk.to_vec(),
-                u_control: u_ctrl,
-                cold,
-                partial,
-            });
-        }
-    }
-
-    /// Records one classified step's evaluated/held split.
-    pub(crate) fn note_step(&mut self, evaluated: usize, held: usize) {
-        self.stats.evaluated += evaluated as u64;
-        self.stats.held += held as u64;
-    }
-
-    /// Cumulative accounting since construction.
-    pub(crate) fn stats(&self) -> KernelStats {
-        self.stats
     }
 }
 
@@ -324,70 +231,31 @@ mod tests {
 
     #[test]
     fn exact_mode_holds_only_on_bitwise_match() {
-        let mut k = ChangeKernel::new(KernelTolerance::exact(), 2);
+        let exact = KernelTolerance::exact();
         let chunk = u(&[0.25, 0.5]);
-        assert!(k.is_dirty(0, &chunk, 0.375, 20.0), "cold start is dirty");
-        k.commit(0, &chunk, 0.375, 20.0, partial(1.0));
-        assert!(!k.is_dirty(0, &chunk, 0.375, 20.0));
-        assert_eq!(k.held_partial(0).unwrap().teg, 1.0);
-        // A one-ulp load wiggle with the same u_control is still dirty.
+        let held = HeldDecision::new(&chunk, 0.375, 20.0, partial(1.0));
+        assert!(held.holds(exact, &chunk, 0.375, 20.0));
+        assert_eq!(held.partial.teg, 1.0);
+        // A one-ulp load wiggle with the same u_control is a change.
         let wiggled = u(&[0.25, f64::from_bits(0.5f64.to_bits() + 1)]);
-        assert!(k.is_dirty(0, &wiggled, 0.375, 20.0));
-        // Cold moves -> dirty; chunk length changes -> dirty.
-        assert!(k.is_dirty(0, &chunk, 0.375, 20.000001));
-        assert!(k.is_dirty(0, &chunk[..1], 0.375, 20.0));
-        // Other circulations have independent holds.
-        assert!(k.is_dirty(1, &chunk, 0.375, 20.0));
+        assert!(!held.holds(exact, &wiggled, 0.375, 20.0));
+        // Cold moves -> change; chunk length changes -> change.
+        assert!(!held.holds(exact, &chunk, 0.375, 20.000001));
+        assert!(!held.holds(exact, &chunk[..1], 0.375, 20.0));
     }
 
     #[test]
     fn tolerant_mode_anchors_at_last_evaluation() {
-        let mut k = ChangeKernel::new(KernelTolerance::uniform(0.1).unwrap(), 1);
-        k.commit(0, &u(&[0.5]), 0.5, 20.0, partial(2.0));
+        let tolerance = KernelTolerance::uniform(0.1).unwrap();
+        let held = HeldDecision::new(&u(&[0.5]), 0.5, 20.0, partial(2.0));
         // Inside the band on both axes: hold, even as loads wiggle.
-        assert!(!k.is_dirty(0, &u(&[0.55]), 0.55, 20.05));
-        assert!(!k.is_dirty(0, &u(&[0.41]), 0.41, 19.91));
+        assert!(held.holds(tolerance, &u(&[0.55]), 0.55, 20.05));
+        assert!(held.holds(tolerance, &u(&[0.41]), 0.41, 19.91));
         // The anchor stays at the last evaluation, so a slow drift past
         // the band re-evaluates even though per-step deltas are tiny.
-        assert!(k.is_dirty(0, &u(&[0.61]), 0.61, 20.0));
-        assert!(k.is_dirty(0, &u(&[0.5]), 0.5, 20.11));
+        assert!(!held.holds(tolerance, &u(&[0.61]), 0.61, 20.0));
+        assert!(!held.holds(tolerance, &u(&[0.5]), 0.5, 20.11));
         // NaN never holds.
-        assert!(k.is_dirty(0, &u(&[0.5]), f64::NAN, 20.0));
-    }
-
-    #[test]
-    fn forced_events_invalidate_holds() {
-        let mut forced = BTreeMap::new();
-        forced.insert(3usize, vec![0usize, 2]);
-        let mut k =
-            ChangeKernel::new(KernelTolerance::uniform(1.0).unwrap(), 3).with_forced_events(forced);
-        for circ in 0..3 {
-            k.commit(circ, &u(&[0.5]), 0.5, 20.0, partial(circ as f64));
-        }
-        k.begin_step(2);
-        assert!(!k.is_forced(0));
-        k.begin_step(3);
-        assert!(k.is_forced(0));
-        assert!(!k.is_forced(1));
-        assert!(k.is_forced(2));
-        k.force(0);
-        assert!(k.held_partial(0).is_none(), "force discards the hold");
-        assert!(
-            k.is_dirty(0, &u(&[0.5]), 0.5, 20.0),
-            "next step re-evaluates from scratch"
-        );
-        assert_eq!(k.held_partial(1).unwrap().teg, 1.0);
-        k.begin_step(4);
-        assert!(!k.is_forced(0), "forcing is per-step");
-    }
-
-    #[test]
-    fn stats_accumulate() {
-        let mut k = ChangeKernel::new(KernelTolerance::exact(), 4);
-        k.note_step(3, 1);
-        k.force(2);
-        k.note_step(1, 3);
-        let s = k.stats();
-        assert_eq!((s.evaluated, s.held, s.forced), (4, 4, 1));
+        assert!(!held.holds(tolerance, &u(&[0.5]), f64::NAN, 20.0));
     }
 }

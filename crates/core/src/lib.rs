@@ -14,9 +14,8 @@
 //! * [`circulation`] — the analytical water-circulation design study of
 //!   Sec. V-A (order statistics → chiller energy → cost versus servers
 //!   per circulation);
-//! * [`fleet`] — the column-major (struct-of-arrays) state behind the
-//!   engine's hot path and the streaming fleet-scale runner
-//!   (`Simulator::run_fleet`);
+//! * [`fleet`] — the engine's inner-loop layouts and the chunk plans
+//!   behind the streaming fleet-scale runner (`Simulator::run_fleet`);
 //! * [`metrics`] — PRE (Eq. 19), ERE and series summaries;
 //! * [`datacenter`] — the one-stop facade: simulator + TCO + hydraulic
 //!   feasibility, consolidated into an annual report;
@@ -48,9 +47,8 @@
 // Lock-order manifest (h2p-lint L10). The setting cache's `map` is
 // the crate's only lock, and it is a leaf: no engine code acquires
 // anything while holding it. The change-detection kernel ([`kernel`])
-// is deliberately lock-free — its held-decision table and forced-event
-// queue are owned by the single-threaded step loop (BTreeMap/Vec, per
-// L8), so it adds nothing to this manifest.
+// is deliberately lock-free — each engine lane owns its circulation's
+// held decision — so it adds nothing to this manifest.
 // h2p-lint: lock-order: map
 // Test code opts back into panicking asserts/unwraps (see [workspace.lints]).
 #![cfg_attr(
@@ -67,6 +65,7 @@
 
 pub mod circulation;
 pub mod datacenter;
+mod driver;
 pub mod facility;
 pub mod faulted;
 pub mod fleet;
@@ -74,7 +73,6 @@ pub mod kernel;
 pub mod metrics;
 pub mod prototype;
 pub mod simulation;
-pub mod source;
 
 use core::fmt;
 

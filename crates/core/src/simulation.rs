@@ -15,12 +15,13 @@
 //!
 //! # Parallel execution & determinism
 //!
-//! Circulations within one control interval are independent, so the
-//! engine shards them across a scoped worker pool (`h2p-exec`) and
-//! merges the per-circulation partial aggregates **in circulation-index
-//! order**. Sequential (`workers = 1`) and parallel runs therefore
-//! produce bit-identical [`SimulationResult`]s: every partial is a pure
-//! function of its circulation's loads, and the merge order never
+//! Circulations never interact within a control interval, so the
+//! engine's one driver (`crate::driver`) gives each worker lane
+//! (`h2p-exec`) one circulation across all intervals and folds the
+//! per-circulation partial aggregates **in circulation-index order**.
+//! Sequential (`workers = 1`) and parallel runs therefore produce
+//! bit-identical [`SimulationResult`]s: every partial is a pure
+//! function of its circulation's loads, and the fold order never
 //! depends on thread scheduling.
 //!
 //! Two hot-path reuses keep the engine fast without breaking that
@@ -39,9 +40,9 @@
 //!   silently replayed settings optimized for one cold temperature at
 //!   another as the source drifted.)
 
+use crate::driver::{Healthy, Source};
 use crate::fleet::{EngineLayout, FleetColumns};
-use crate::kernel::{ChangeKernel, KernelTolerance};
-use crate::source::UtilizationSource;
+use crate::kernel::{KernelStats, KernelTolerance};
 use crate::H2pError;
 use h2p_cooling::{CoolingOptimizer, CoolingPlant, OptimizedSetting, PlantLoad};
 use h2p_exec::{ChunkPlan, PoolTelemetry};
@@ -53,7 +54,6 @@ use h2p_telemetry::{BucketSpec, Counter, Histogram, Registry};
 use h2p_units::{Celsius, DegC, Joules, Seconds, Utilization, Watts};
 use h2p_workload::{ClusterTrace, TraceGenerator};
 use std::cell::RefCell;
-use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::num::NonZeroUsize;
 use std::sync::{PoisonError, RwLock};
@@ -479,11 +479,7 @@ impl Clone for SettingCache {
 pub(crate) struct EngineTelemetry {
     pub(crate) registry: Registry,
     pub(crate) pool: PoolTelemetry,
-    pub(crate) step_wall: Histogram,
     pub(crate) circ_wall: Histogram,
-    /// Circulation-evaluations per wall second of kernel steps (the
-    /// events/sec surface of the bench suite).
-    events_per_sec: Histogram,
     runs: Counter,
     steps: Counter,
     /// Kernel accounting: circulation-steps re-simulated vs. answered
@@ -498,9 +494,7 @@ impl EngineTelemetry {
         EngineTelemetry {
             registry: Registry::disabled(),
             pool: PoolTelemetry::disabled(),
-            step_wall: Histogram::disabled(),
             circ_wall: Histogram::disabled(),
-            events_per_sec: Histogram::disabled(),
             runs: Counter::new(),
             steps: Counter::new(),
             circs_evaluated: Counter::new(),
@@ -513,20 +507,15 @@ impl EngineTelemetry {
         if !registry.is_enabled() {
             return EngineTelemetry::disabled();
         }
-        let durations = BucketSpec::duration_default();
-        // Crate-internal names with one fixed spec can never collide.
-        let hist = |name: &str| {
-            registry
-                .histogram(name, &durations)
-                .unwrap_or_else(|_| Histogram::disabled())
-        };
         EngineTelemetry {
             registry: registry.clone(),
             pool: PoolTelemetry::from_registry(registry),
-            step_wall: hist("engine.step_wall_nanos"),
-            circ_wall: hist("engine.circulation_wall_nanos"),
-            events_per_sec: registry
-                .histogram("engine.events_per_sec", &BucketSpec::rate_default())
+            // A crate-internal name with one fixed spec never collides.
+            circ_wall: registry
+                .histogram(
+                    "engine.circulation_wall_nanos",
+                    &BucketSpec::duration_default(),
+                )
                 .unwrap_or_else(|_| Histogram::disabled()),
             runs: registry.counter("engine.runs"),
             steps: registry.counter("engine.steps"),
@@ -536,41 +525,20 @@ impl EngineTelemetry {
         }
     }
 
-    /// Records one finished control interval.
-    pub(crate) fn note_step(&self) {
-        if self.registry.is_enabled() {
-            self.steps.incr();
-        }
-    }
-
-    /// Records one finished run.
-    pub(crate) fn note_run(&self) {
+    /// Records one finished run of `steps` control intervals.
+    pub(crate) fn note_run(&self, steps: usize) {
         if self.registry.is_enabled() {
             self.runs.incr();
+            self.steps.add(u64::try_from(steps).unwrap_or(u64::MAX));
         }
     }
 
-    /// Records one kernel step's evaluated/held split and its
-    /// evaluation rate (`evaluated` circulations over `elapsed_nanos`
-    /// of step wall time).
-    pub(crate) fn note_kernel_step(
-        &self,
-        evaluated: usize,
-        held: usize,
-        forced: usize,
-        elapsed_nanos: u64,
-    ) {
-        if !self.registry.is_enabled() {
-            return;
-        }
-        let as_u64 = |v: usize| u64::try_from(v).unwrap_or(u64::MAX);
-        self.circs_evaluated.add(as_u64(evaluated));
-        self.circs_held.add(as_u64(held));
-        self.kernel_forced.add(as_u64(forced));
-        if elapsed_nanos > 0 && evaluated > 0 {
-            // Integer rate is plenty for the doubling rate buckets.
-            let rate = (as_u64(evaluated)).saturating_mul(1_000_000_000) / elapsed_nanos;
-            self.events_per_sec.record(rate);
+    /// Records one kernel lane's evaluated/held/forced split.
+    pub(crate) fn note_kernel(&self, tally: &KernelStats) {
+        if self.registry.is_enabled() {
+            self.circs_evaluated.add(tally.evaluated);
+            self.circs_held.add(tally.held);
+            self.kernel_forced.add(tally.forced);
         }
     }
 }
@@ -620,15 +588,12 @@ impl CircPartial {
     }
 }
 
-/// Running reduction of one control interval's [`CircPartial`]s — the
-/// single accumulator both the per-step engines (`fold_step`, which
-/// sees a whole interval's partials at once) and the chunk-streaming
-/// fleet engine (`run_fleet`, which feeds each interval's accumulator
-/// one chunk at a time) share. Each field is one f64 accumulator whose
-/// additions happen in circulation-index order, so both feeding
-/// patterns execute the exact same addition sequence — the bit-identity
-/// contract between `run` and `run_fleet` rests on this type being the
-/// only fold implementation.
+/// Running reduction of one control interval's [`CircPartial`]s. Each
+/// field is one f64 accumulator whose additions happen in
+/// circulation-index order whatever the source's chunking, so `run`,
+/// `run_fleet` and `run_with_faults` execute the exact same addition
+/// sequence — their bit-identity rests on this type being the only fold
+/// implementation.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct StepFold {
     teg_sum: f64,
@@ -643,8 +608,8 @@ pub(crate) struct StepFold {
     online: usize,
 }
 
-impl StepFold {
-    pub(crate) fn new() -> Self {
+impl Default for StepFold {
+    fn default() -> Self {
         StepFold {
             teg_sum: 0.0,
             cpu_sum: 0.0,
@@ -658,7 +623,9 @@ impl StepFold {
             online: 0,
         }
     }
+}
 
+impl StepFold {
     /// Absorbs one circulation's partial. Callers must add partials in
     /// circulation-index order (f64 addition is not associative).
     pub(crate) fn add(&mut self, p: CircPartial) {
@@ -690,8 +657,8 @@ pub struct Simulator {
     pub(crate) workers: NonZeroUsize,
     cache: SettingCache,
     pub(crate) telemetry: EngineTelemetry,
-    /// `None` runs the legacy dense stepper (the bit-identity oracle);
-    /// `Some` routes runs through the change-detection kernel.
+    /// `None` evaluates every circulation-step (the bit-identity
+    /// oracle); `Some` lets lanes hold unchanged circulations.
     pub(crate) kernel: Option<KernelTolerance>,
     /// Which inner-loop layout evaluates circulations: the column-major
     /// hot path (default) or the retained scalar reference.
@@ -758,9 +725,11 @@ impl Simulator {
     ///
     /// [`KernelTolerance::exact`] degenerates to the exact stepper —
     /// bit-identical to the default dense engine for every trace,
-    /// policy, worker count, and fault plan (the transparency
-    /// contract); non-zero tolerances trade a bounded accuracy delta
-    /// for skipping unchanged circulations.
+    /// policy, worker count, chunk plan and fault plan (the
+    /// transparency contract); non-zero tolerances trade a bounded
+    /// accuracy delta for skipping unchanged circulations. Applies to
+    /// [`run`](Self::run), [`run_fleet`](Self::run_fleet) and
+    /// [`run_with_faults`](Self::run_with_faults) alike.
     #[must_use]
     pub fn with_kernel_tolerance(mut self, tolerance: KernelTolerance) -> Self {
         self.kernel = Some(tolerance);
@@ -768,14 +737,14 @@ impl Simulator {
     }
 
     /// Reverts [`with_kernel_tolerance`](Self::with_kernel_tolerance):
-    /// runs use the legacy dense stepper again.
+    /// runs evaluate every circulation-step again.
     #[must_use]
     pub fn without_kernel(mut self) -> Self {
         self.kernel = None;
         self
     }
 
-    /// The configured kernel tolerance (`None` = dense stepper).
+    /// The configured kernel tolerance (`None` = dense oracle).
     #[must_use]
     pub fn kernel_tolerance(&self) -> Option<KernelTolerance> {
         self.kernel
@@ -799,8 +768,8 @@ impl Simulator {
         self.layout
     }
 
-    /// Attaches a telemetry registry: step and circulation wall-time
-    /// histograms, pool telemetry, run/step counters, and the cache
+    /// Attaches a telemetry registry: the circulation wall-time
+    /// histogram, pool telemetry, run/step and kernel counters, and the cache
     /// counters all become visible through `registry` (and in its
     /// [`RunReport`](h2p_telemetry::RunReport)). Attaching
     /// [`Registry::disabled`] detaches. Simulation *results* are
@@ -855,247 +824,15 @@ impl Simulator {
         cluster: &ClusterTrace,
         policy: &dyn SchedulingPolicy,
     ) -> Result<SimulationResult, H2pError> {
-        self.run_inner(cluster, policy, self.workers, true)
-    }
-
-    /// Runs a policy over any [`UtilizationSource`] — the seam behind
-    /// [`run`](Self::run). A materialized [`ClusterTrace`] and a
-    /// placement-synthesized source with bit-identical columns produce
-    /// bit-identical results, on every driver and worker count.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`run`](Self::run).
-    pub fn run_source(
-        &self,
-        source: &dyn UtilizationSource,
-        policy: &dyn SchedulingPolicy,
-    ) -> Result<SimulationResult, H2pError> {
-        self.run_inner(source, policy, self.workers, true)
-    }
-
-    /// The engine behind [`run`](Self::run), with the worker count and
-    /// the setting cache controllable (the cache-free path exists so
-    /// tests can assert the cache is observationally transparent).
-    /// Dispatches on the configured kernel: the dense stepper is the
-    /// oracle, the kernel path re-simulates only dirty circulations.
-    fn run_inner(
-        &self,
-        source: &dyn UtilizationSource,
-        policy: &dyn SchedulingPolicy,
-        workers: NonZeroUsize,
-        use_cache: bool,
-    ) -> Result<SimulationResult, H2pError> {
-        match self.kernel {
-            Some(tolerance) => self.run_kernel(source, policy, workers, use_cache, tolerance),
-            None => self.run_dense(source, policy, workers, use_cache),
-        }
-    }
-
-    /// The legacy dense stepper: every circulation is re-simulated
-    /// every control interval. Kept verbatim as the bit-identity
-    /// oracle for the kernel path (`tests/kernel_transparency.rs`).
-    fn run_dense(
-        &self,
-        source: &dyn UtilizationSource,
-        policy: &dyn SchedulingPolicy,
-        workers: NonZeroUsize,
-        use_cache: bool,
-    ) -> Result<SimulationResult, H2pError> {
-        let servers = source.servers();
-        let circ_size = self.config.servers_per_circulation.min(servers).max(1);
-        let circ_chunk = NonZeroUsize::new(circ_size).unwrap_or(NonZeroUsize::MIN);
-        let interval = source.interval();
-        let mut steps = Vec::with_capacity(source.steps());
-        // The optimizer depends only on the cold-source temperature:
-        // construct one per distinct cold value over the whole run (a
-        // constant source gets exactly one), not one per step.
-        let mut optimizers: HashMap<u64, CoolingOptimizer<'_>> = HashMap::new();
-
-        for step in 0..source.steps() {
-            let step_span = self.telemetry.registry.span(&self.telemetry.step_wall);
-            let time = Seconds::new(interval.value() * step as f64);
-            let cold = self.config.cold_source.temperature(time);
-            let optimizer = match optimizers.entry(cold.value().to_bits()) {
-                Entry::Occupied(entry) => entry.into_mut(),
-                Entry::Vacant(entry) => entry.insert(self.new_optimizer(cold)?),
-            };
-
-            let loads = source.column(step);
-            // Shard the independent circulations across the worker
-            // pool; partials come back in circulation-index order.
-            let partials = h2p_exec::try_par_chunks_observed(
-                &self.telemetry.pool,
-                workers,
-                &loads,
-                circ_chunk,
-                |_, chunk| {
-                    let t0 = self.telemetry.registry.now_nanos();
-                    let partial =
-                        self.simulate_circulation(chunk, policy, optimizer, cold, use_cache);
-                    self.telemetry
-                        .circ_wall
-                        .record(self.telemetry.registry.now_nanos().saturating_sub(t0));
-                    partial
-                },
-            )?;
-
-            // Deterministic merge: circulation-index order, independent
-            // of how the chunks were scheduled onto threads.
-            steps.push(self.fold_step(time, servers, partials.iter().copied()));
-            self.telemetry.note_step();
-            step_span.finish();
-        }
-
-        self.telemetry.note_run();
-        Ok(SimulationResult {
-            policy: policy.name(),
-            interval,
-            servers,
-            steps,
-        })
-    }
-
-    /// The change-detection kernel path (see [`crate::kernel`]): per
-    /// step, circulations are classified sequentially in index order
-    /// against their held decisions, only the *dirty* set is sharded
-    /// across the worker pool, and held partials replay for the rest.
-    /// Classification, merge, and commit all walk circulation-index
-    /// order, so results stay bit-identical across worker counts.
-    /// Minimum dirty circulations per worker lane before the kernel
-    /// shards an evaluation batch instead of running it inline (a
-    /// scoped-thread spawn costs about as much as evaluating a few
-    /// 40-server circulations).
-    pub(crate) const MIN_DIRTY_PER_LANE: usize = 4;
-
-    fn run_kernel(
-        &self,
-        source: &dyn UtilizationSource,
-        policy: &dyn SchedulingPolicy,
-        workers: NonZeroUsize,
-        use_cache: bool,
-        tolerance: KernelTolerance,
-    ) -> Result<SimulationResult, H2pError> {
-        let servers = source.servers();
-        let circ_size = self.config.servers_per_circulation.min(servers).max(1);
-        let circ_chunk = NonZeroUsize::new(circ_size).unwrap_or(NonZeroUsize::MIN);
-        let interval = source.interval();
-        let n_circs = servers.div_ceil(circ_size);
-        let mut steps = Vec::with_capacity(source.steps());
-        let mut optimizers: HashMap<u64, CoolingOptimizer<'_>> = HashMap::new();
-        let mut kernel = ChangeKernel::new(tolerance, n_circs);
-        let mut dirty: Vec<usize> = Vec::with_capacity(n_circs);
-        let mut u_ctrls: Vec<f64> = vec![0.0; n_circs];
-        let mut partials: Vec<CircPartial> = Vec::with_capacity(n_circs);
-
-        for step in 0..source.steps() {
-            let step_span = self.telemetry.registry.span(&self.telemetry.step_wall);
-            let t0 = self.telemetry.registry.now_nanos();
-            let time = Seconds::new(interval.value() * step as f64);
-            let cold = self.config.cold_source.temperature(time);
-            let optimizer = match optimizers.entry(cold.value().to_bits()) {
-                Entry::Occupied(entry) => entry.into_mut(),
-                Entry::Vacant(entry) => entry.insert(self.new_optimizer(cold)?),
-            };
-
-            let loads = source.column(step);
-            // Classify sequentially, circulation-index order.
-            kernel.begin_step(step);
-            dirty.clear();
-            for (circ, chunk) in loads.chunks(circ_size).enumerate() {
-                let u_ctrl = policy.control_utilization(chunk).value();
-                u_ctrls[circ] = u_ctrl;
-                if kernel.is_dirty(circ, chunk, u_ctrl, cold.value()) {
-                    dirty.push(circ);
-                }
-            }
-
-            // Evaluate only the dirty set, sharded across the pool.
-            // Spawning a lane costs about as much as evaluating a few
-            // circulations, so small dirty sets run inline: lane count
-            // never exceeds dirty/MIN_DIRTY_PER_LANE. Results are
-            // bit-identical for every lane count, so this is purely a
-            // dispatch decision.
-            let lanes =
-                NonZeroUsize::new((dirty.len() / Self::MIN_DIRTY_PER_LANE).clamp(1, workers.get()))
-                    .unwrap_or(NonZeroUsize::MIN);
-            let fresh = h2p_exec::try_par_sparse_chunks_observed(
-                &self.telemetry.pool,
-                lanes,
-                &loads,
-                circ_chunk,
-                &dirty,
-                |_, chunk| {
-                    let t0 = self.telemetry.registry.now_nanos();
-                    let partial =
-                        self.simulate_circulation(chunk, policy, optimizer, cold, use_cache);
-                    self.telemetry
-                        .circ_wall
-                        .record(self.telemetry.registry.now_nanos().saturating_sub(t0));
-                    partial
-                },
-            )?;
-
-            // Merge: held decisions replay for clean circulations,
-            // fresh evaluations overwrite their slots — both walks in
-            // circulation-index order.
-            partials.clear();
-            for circ in 0..n_circs {
-                partials.push(
-                    kernel
-                        .held_partial(circ)
-                        .unwrap_or_else(CircPartial::offline),
-                );
-            }
-            debug_assert_eq!(fresh.len(), dirty.len());
-            for (&circ, partial) in dirty.iter().zip(&fresh) {
-                partials[circ] = *partial;
-            }
-            // Commit the fresh decisions as the new anchors.
-            for (&circ, partial) in dirty.iter().zip(&fresh) {
-                let start = circ * circ_size;
-                let end = start.saturating_add(circ_size).min(loads.len());
-                kernel.commit(
-                    circ,
-                    &loads[start..end],
-                    u_ctrls[circ],
-                    cold.value(),
-                    *partial,
-                );
-            }
-            kernel.note_step(dirty.len(), n_circs - dirty.len());
-
-            steps.push(self.fold_step(time, servers, partials.iter().copied()));
-            let elapsed = self.telemetry.registry.now_nanos().saturating_sub(t0);
-            self.telemetry
-                .note_kernel_step(dirty.len(), n_circs - dirty.len(), 0, elapsed);
-            self.telemetry.note_step();
-            step_span.finish();
-        }
-
-        // Every circulation-step was either evaluated or held.
-        debug_assert_eq!(
-            kernel.stats().evaluated + kernel.stats().held,
-            (n_circs * source.steps()) as u64
-        );
-        self.telemetry.note_run();
-        Ok(SimulationResult {
-            policy: policy.name(),
-            interval,
-            servers,
-            steps,
-        })
+        self.run_healthy(&Source::Trace(cluster), policy)
     }
 
     /// Streams a fleet-scale run without ever materializing the full
     /// trace: shards are generated on demand, one resident chunk at a
     /// time, following the [`ChunkPlan`]'s circulation → chunk → lane
-    /// hierarchy. Within a chunk, circulations shard across the worker
-    /// pool (each lane walks all control intervals of its circulation);
-    /// per-step accumulators merge chunk results in circulation-index
-    /// order, so the result is **bit-identical** to materializing the
+    /// hierarchy. The result is **bit-identical** to materializing the
     /// trace with [`TraceGenerator::generate`] and calling
-    /// [`run`](Self::run) with the kernel disabled
+    /// [`run`](Self::run) on the same simulator, kernel included
     /// (`tests/fleet_transparency.rs` is the oracle).
     ///
     /// # Errors
@@ -1111,9 +848,7 @@ impl Simulator {
         plan: &ChunkPlan,
     ) -> Result<SimulationResult, H2pError> {
         let servers = generator.servers();
-        let n_steps = generator.steps();
-        let interval = generator.interval();
-        let circ_size = self.config.servers_per_circulation.min(servers).max(1);
+        let circ_size = self.circulation_size(servers);
         if plan.servers() != servers {
             return Err(H2pError::FleetPlanMismatch {
                 what: "server count",
@@ -1128,122 +863,33 @@ impl Simulator {
                 got: plan.circulation_size().get(),
             });
         }
+        self.run_healthy(&Source::Shards { generator, plan }, policy)
+    }
 
-        // Every chunk replays all control intervals, so resolve the
-        // cold-source series and its optimizers (one per distinct cold
-        // reading, as in the materialized drivers) once, up front.
-        let mut colds = Vec::with_capacity(n_steps);
-        let mut optimizers: HashMap<u64, CoolingOptimizer<'_>> = HashMap::new();
-        for step in 0..n_steps {
-            let time = Seconds::new(interval.value() * step as f64);
-            let cold = self.config.cold_source.temperature(time);
-            if let Entry::Vacant(entry) = optimizers.entry(cold.value().to_bits()) {
-                entry.insert(self.new_optimizer(cold)?);
-            }
-            colds.push(cold);
-        }
-
-        // One running fold per control interval. Chunks arrive in index
-        // order and each chunk merges its circulations in index order,
-        // so every fold sees its additions in global circulation-index
-        // order — the exact sequence `fold_step` executes over a
-        // materialized run.
-        let mut folds: Vec<StepFold> = (0..n_steps).map(|_| StepFold::new()).collect();
-        let mut shards = generator.shards(plan.max_chunk_servers());
-        for chunk in plan.chunks() {
-            let shard = shards.next().ok_or(H2pError::FleetPlanMismatch {
-                what: "shard count",
-                expected: chunk.index + 1,
-                got: chunk.index,
-            })?;
-            debug_assert_eq!(shard.start_server(), chunk.servers.start);
-            let trace = shard.cluster();
-            // Chunk-local server ranges, one per circulation: the plan
-            // never splits a circulation, so these are exactly the
-            // scalar driver's chunk boundaries shifted into the shard.
-            let local: Vec<std::ops::Range<usize>> = chunk
-                .circulations
-                .clone()
-                .map(|c| {
-                    let start = (c - chunk.circulations.start) * circ_size;
-                    let end = start.saturating_add(circ_size).min(trace.servers());
-                    start..end
-                })
-                .collect();
-            // Lane unit: one circulation across *all* steps (amortizes
-            // lane spawn over the whole interval axis). Results come
-            // back in circulation-index order regardless of scheduling.
-            let per_circ: Vec<Vec<CircPartial>> = h2p_exec::try_par_map_observed(
-                &self.telemetry.pool,
-                self.workers,
-                &local,
-                |_, range| {
-                    let mut partials = Vec::with_capacity(n_steps);
-                    let mut loads: Vec<Utilization> = Vec::with_capacity(range.len());
-                    for (step, &cold) in colds.iter().enumerate() {
-                        loads.clear();
-                        for s in range.clone() {
-                            loads.push(trace.trace(s).get(step));
-                        }
-                        let optimizer = optimizers
-                            .get(&cold.value().to_bits())
-                            // h2p-lint: allow(L2): populated for every
-                            // step's cold reading in the loop above.
-                            .expect("optimizer resolved for every cold reading");
-                        let t0 = self.telemetry.registry.now_nanos();
-                        let partial =
-                            self.simulate_circulation(&loads, policy, optimizer, cold, true);
-                        self.telemetry
-                            .circ_wall
-                            .record(self.telemetry.registry.now_nanos().saturating_sub(t0));
-                        partials.push(partial?);
-                    }
-                    Ok::<Vec<CircPartial>, H2pError>(partials)
-                },
-            )?;
-            for circ_steps in &per_circ {
-                for (fold, partial) in folds.iter_mut().zip(circ_steps) {
-                    fold.add(*partial);
-                }
-            }
-        }
-
-        let mut steps = Vec::with_capacity(n_steps);
-        for (step, fold) in folds.iter().enumerate() {
-            let time = Seconds::new(interval.value() * step as f64);
-            steps.push(self.finish_step(time, servers, fold));
-            self.telemetry.note_step();
-        }
-        self.telemetry.note_run();
+    /// The plan-free run behind [`run`](Self::run) and
+    /// [`run_fleet`](Self::run_fleet).
+    fn run_healthy(
+        &self,
+        source: &Source<'_>,
+        policy: &dyn SchedulingPolicy,
+    ) -> Result<SimulationResult, H2pError> {
+        let folds = self.drive(source, policy, &Healthy)?;
+        let servers = source.servers();
+        let steps = folds
+            .iter()
+            .enumerate()
+            .map(|(step, fold)| self.finish_step(source.time(step), servers, fold))
+            .collect();
         Ok(SimulationResult {
             policy: policy.name(),
-            interval,
+            interval: source.interval(),
             servers,
             steps,
         })
     }
 
-    /// Folds per-circulation partials (in circulation-index order) into
-    /// one interval's [`StepRecord`]. Shared by the plan-free and the
-    /// fault-injected engines so that a zero-fault plan reproduces the
-    /// plan-free run *by construction*: both paths execute this exact
-    /// arithmetic in this exact order.
-    pub(crate) fn fold_step(
-        &self,
-        time: Seconds,
-        servers: usize,
-        partials: impl Iterator<Item = CircPartial>,
-    ) -> StepRecord {
-        let mut fold = StepFold::new();
-        for p in partials {
-            fold.add(p);
-        }
-        self.finish_step(time, servers, &fold)
-    }
-
     /// Turns a completed [`StepFold`] into the interval's
-    /// [`StepRecord`] (shared tail of `fold_step` and the fleet
-    /// engine's chunk-streamed accumulation).
+    /// [`StepRecord`].
     pub(crate) fn finish_step(&self, time: Seconds, servers: usize, fold: &StepFold) -> StepRecord {
         let StepFold {
             teg_sum,
@@ -1298,7 +944,7 @@ impl Simulator {
     /// hot path by default, the retained scalar reference on request.
     /// The two are bit-identical (see [`crate::fleet`] and
     /// `tests/fleet_transparency.rs`); every engine mode — dense,
-    /// kernel, faulted (healthy layer) — funnels through this
+    /// kernel, fleet, faulted (healthy layer) — funnels through this
     /// dispatcher, so the layout choice composes with all of them.
     pub(crate) fn simulate_circulation(
         &self,
@@ -1306,32 +952,30 @@ impl Simulator {
         policy: &dyn SchedulingPolicy,
         optimizer: &CoolingOptimizer<'_>,
         cold: Celsius,
-        use_cache: bool,
     ) -> Result<CircPartial, H2pError> {
         match self.layout {
             EngineLayout::Scalar => {
-                self.simulate_circulation_scalar(chunk, policy, optimizer, cold, use_cache)
+                self.simulate_circulation_scalar(chunk, policy, optimizer, cold)
             }
             EngineLayout::Columns => {
-                self.simulate_circulation_columns(chunk, policy, optimizer, cold, use_cache)
+                self.simulate_circulation_columns(chunk, policy, optimizer, cold)
             }
         }
     }
 
     /// The retained per-server scalar reference path — kept verbatim as
     /// the bit-identity oracle for the column engine, exactly as the
-    /// dense stepper is kept as the oracle for the kernel path.
+    /// runs without a kernel are the oracle for the kernel.
     pub(crate) fn simulate_circulation_scalar(
         &self,
         chunk: &[Utilization],
         policy: &dyn SchedulingPolicy,
         optimizer: &CoolingOptimizer<'_>,
         cold: Celsius,
-        use_cache: bool,
     ) -> Result<CircPartial, H2pError> {
         let scheduled = policy.schedule(chunk);
         let u_ctrl = policy.control_utilization(chunk);
-        let chosen = self.optimized_setting(optimizer, u_ctrl, cold, use_cache)?;
+        let chosen = self.optimized_setting(optimizer, u_ctrl, cold)?;
         let mut partial = CircPartial {
             teg: 0.0,
             cpu: 0.0,
@@ -1383,16 +1027,15 @@ impl Simulator {
         policy: &dyn SchedulingPolicy,
         optimizer: &CoolingOptimizer<'_>,
         cold: Celsius,
-        use_cache: bool,
     ) -> Result<CircPartial, H2pError> {
         thread_local! {
             // Per-thread scratch so worker lanes never contend and the
             // columns' allocations are reused across circulation-steps.
-            static SCRATCH: RefCell<FleetColumns> = RefCell::new(FleetColumns::new());
+            static SCRATCH: RefCell<FleetColumns> = RefCell::new(FleetColumns::default());
         }
         let scheduled = policy.schedule(chunk);
         let u_ctrl = policy.control_utilization(chunk);
-        let chosen = self.optimized_setting(optimizer, u_ctrl, cold, use_cache)?;
+        let chosen = self.optimized_setting(optimizer, u_ctrl, cold)?;
         SCRATCH.with(|cell| {
             let mut columns = cell.borrow_mut();
             self.evaluate_columns(&scheduled, &chosen, cold, &mut columns)
@@ -1413,14 +1056,9 @@ impl Simulator {
         let flow = chosen.setting.flow;
         let inlet = chosen.setting.inlet;
 
-        // Fill the input columns: utilization, plus the per-circulation
-        // uniform inlet and pump-share columns (uniform here, but real
-        // columns so the struct view stays complete).
         for (slot, &u) in columns.utilization.iter_mut().zip(scheduled) {
             *slot = u.value();
         }
-        columns.inlet.fill(inlet.value());
-        columns.cooling_power.fill(chosen.pump_power.value());
 
         // Lookup pass: outlet temperature and the die-temperature
         // violation count (the interpolations share their operands, so
@@ -1490,8 +1128,8 @@ impl Simulator {
 
     /// Builds a cooling optimizer against the engine's lookup space for
     /// one cold-side temperature, wired into the engine's telemetry.
-    /// Shared by the dense, kernel, fleet, and faulted drivers (one
-    /// optimizer per distinct cold-source reading).
+    /// The driver builds one optimizer per distinct cold-source
+    /// reading.
     pub(crate) fn new_optimizer(&self, cold: Celsius) -> Result<CoolingOptimizer<'_>, H2pError> {
         Ok(CoolingOptimizer::new(
             &self.space,
@@ -1505,28 +1143,23 @@ impl Simulator {
     }
 
     /// Resolves the cooling setting for a control utilization, through
-    /// the shared exact-key cache when enabled.
+    /// the shared exact-key cache.
     pub(crate) fn optimized_setting(
         &self,
         optimizer: &CoolingOptimizer<'_>,
         u_ctrl: Utilization,
         cold: Celsius,
-        use_cache: bool,
     ) -> Result<OptimizedSetting, H2pError> {
         let key = SettingKey::new(u_ctrl, cold);
-        if use_cache {
-            if let Some(hit) = self.cache.get(&key) {
-                return Ok(hit);
-            }
+        if let Some(hit) = self.cache.get(&key) {
+            return Ok(hit);
         }
         let chosen = optimizer
             .optimize(u_ctrl)
             .ok_or(H2pError::NoFeasibleSetting {
                 control_utilization: u_ctrl.value(),
             })?;
-        if use_cache {
-            self.cache.insert(key, chosen);
-        }
+        self.cache.insert(key, chosen);
         Ok(chosen)
     }
 }
@@ -1668,8 +1301,10 @@ mod tests {
         // Regression test for the stale-cache bug: the old run-wide key
         // quantized the cold temperature to 1/16 °C, so as the source
         // drifted, settings optimized at one cold temperature were
-        // silently replayed at another. With exact keys, a cached run
-        // must be bit-identical to a cache-free run.
+        // silently replayed at another. With exact keys, no two
+        // decisions of a drifting-cold run share a key — a quantized
+        // key would hit here — and a warm rerun replays exactly the
+        // settings the cold run computed.
         let mut cfg = SimulationConfig::paper_default();
         cfg.cold_source = ColdSource::Seasonal {
             mean: Celsius::new(17.5),
@@ -1679,11 +1314,15 @@ mod tests {
         let sim = Simulator::new(&ServerModel::paper_default(), cfg).unwrap();
         let cluster = small_cluster(TraceKind::Irregular);
         let cached = sim.run(&cluster, &LoadBalance).unwrap();
-        let uncached = sim
-            .run_inner(&cluster, &LoadBalance, sim.workers, false)
-            .unwrap();
-        assert_eq!(cached.steps().len(), uncached.steps().len());
-        for (a, b) in cached.steps().iter().zip(uncached.steps()) {
+        let first = sim.cache_stats();
+        assert_eq!(first.hits, 0, "a drifting-cold run must never hit");
+        assert!(first.misses > 0);
+        let warm = sim.run(&cluster, &LoadBalance).unwrap();
+        let second = sim.cache_stats();
+        assert_eq!(second.misses, first.misses, "a warm rerun is all hits");
+        assert_eq!(second.hits, first.misses);
+        assert_eq!(cached.steps().len(), warm.steps().len());
+        for (a, b) in cached.steps().iter().zip(warm.steps()) {
             assert_eq!(a, b);
         }
         // Sanity: the drifting source genuinely changes the physics
@@ -1902,12 +1541,11 @@ mod tests {
 
         let hists: std::collections::BTreeMap<String, h2p_telemetry::Histogram> =
             registry.histograms().into_iter().collect();
-        assert_eq!(hists["engine.step_wall_nanos"].count(), 36);
         // 80 servers ÷ 40 per circulation = 2 circulations × 36 steps.
         assert_eq!(hists["engine.circulation_wall_nanos"].count(), 72);
 
         let report = h2p_telemetry::RunReport::from_registry(&registry);
         assert!(!report.is_empty());
-        assert!(report.render().contains("engine.step_wall_nanos"));
+        assert!(report.render().contains("engine.circulation_wall_nanos"));
     }
 }

@@ -3,7 +3,8 @@
 //! retained scalar reference — for every trace class, scheduling
 //! policy and worker count, in dense, kernel-exact *and* fault-injected
 //! mode — and the streaming fleet runner (`Simulator::run_fleet`) must
-//! reproduce the materialized run exactly for every chunk plan.
+//! reproduce the materialized run exactly for every chunk plan, with or
+//! without a change kernel.
 //!
 //! The scalar path (`EngineLayout::Scalar`) is the oracle; it was kept
 //! verbatim for exactly this purpose, like the dense stepper before it.
@@ -19,7 +20,7 @@
     clippy::cast_precision_loss
 )]
 
-use h2p_core::fleet::{ChunkPlan, EngineLayout, FleetColumns, PlanError, ServerState};
+use h2p_core::fleet::{ChunkPlan, EngineLayout, PlanError};
 use h2p_core::kernel::KernelTolerance;
 use h2p_core::simulation::{SimulationConfig, SimulationResult, Simulator};
 use h2p_core::H2pError;
@@ -27,7 +28,7 @@ use h2p_faults::{FaultEvent, FaultKind, FaultPlan};
 use h2p_sched::{LoadBalance, Original, SchedulingPolicy};
 use h2p_server::ServerModel;
 use h2p_telemetry::Registry;
-use h2p_units::{Celsius, DegC, Utilization, Watts};
+use h2p_units::{Celsius, DegC};
 use h2p_workload::{ClusterTrace, TraceGenerator, TraceKind};
 use proptest::prelude::*;
 use std::num::NonZeroUsize;
@@ -268,6 +269,62 @@ fn fleet_runner_is_bit_identical_to_materialized_run() {
     }
 }
 
+/// `run_fleet` honours a configured kernel: a streamed exact kernel
+/// reproduces the materialized dense oracle bit-for-bit, and a streamed
+/// tolerant kernel reproduces the materialized kernel run at the same
+/// tolerance — records and evaluated/held accounting alike — for every
+/// chunk granularity × {1, 2, 5} workers. (The fleet runner used to run
+/// dense whatever the kernel configuration.)
+#[test]
+fn fleet_runner_honours_the_kernel() {
+    let sim = Simulator::paper_default().unwrap();
+    let generator = ragged_generator(TraceKind::Common);
+    let cluster = generator.generate();
+    let dense = sim.run(&cluster, &LoadBalance).unwrap();
+    let tolerant = sim
+        .clone()
+        .with_kernel_tolerance(KernelTolerance::uniform(0.01).unwrap());
+    let mat_registry = Registry::new();
+    let materialized = tolerant
+        .clone()
+        .with_telemetry(&mat_registry)
+        .run(&cluster, &LoadBalance)
+        .unwrap();
+    assert!(
+        counter(&mat_registry, "engine.circulations_held") > 0,
+        "tolerance 0.01 must hold some evaluations"
+    );
+    for circs_per_chunk in [1, 2, 1000] {
+        for workers in WORKERS {
+            let plan = ChunkPlan::new(90, nz(40), nz(circs_per_chunk)).unwrap();
+            let what = format!("cpc {circs_per_chunk}/{workers} workers");
+            let exact = sim
+                .clone()
+                .with_workers(nz(workers))
+                .with_kernel_tolerance(KernelTolerance::exact())
+                .run_fleet(&generator, &LoadBalance, &plan)
+                .unwrap();
+            assert_bit_identical(&dense, &exact, &format!("exact kernel/{what}"));
+
+            let fleet_registry = Registry::new();
+            let streamed = tolerant
+                .clone()
+                .with_workers(nz(workers))
+                .with_telemetry(&fleet_registry)
+                .run_fleet(&generator, &LoadBalance, &plan)
+                .unwrap();
+            assert_bit_identical(&materialized, &streamed, &format!("kernel 0.01/{what}"));
+            for name in ["engine.circulations_evaluated", "engine.circulations_held"] {
+                assert_eq!(
+                    counter(&mat_registry, name),
+                    counter(&fleet_registry, name),
+                    "kernel 0.01/{what}: {name}"
+                );
+            }
+        }
+    }
+}
+
 /// A simulator with single-server circulations (the degenerate
 /// circulation → chunk → lane corner).
 fn single_server_circ_sim() -> Simulator {
@@ -447,53 +504,6 @@ proptest! {
             .unwrap();
         for (a, b) in scalar.steps().iter().zip(fleet.steps()) {
             prop_assert_eq!(a, b);
-        }
-    }
-
-    // FleetColumns::from_servers / to_servers is bit-lossless for any
-    // representable server state (utilization in [0, 1], arbitrary
-    // finite physics values).
-    #[test]
-    fn fleet_columns_round_trip_is_bit_lossless(
-        rows in proptest::collection::vec(
-            (
-                (0.0f64..=1.0, -1.0e9f64..=1.0e9, -1.0e9f64..=1.0e9),
-                (-1.0e9f64..=1.0e9, -1.0e9f64..=1.0e9),
-                (-1.0e9f64..=1.0e9, -1.0e9f64..=1.0e9),
-            ),
-            0..=64,
-        ),
-    ) {
-        let servers: Vec<ServerState> = rows
-            .iter()
-            .map(|&((u, inlet, outlet), (delta, cpu), (cooling, harvest))| ServerState {
-                utilization: Utilization::saturating(u),
-                inlet: Celsius::new(inlet),
-                outlet: Celsius::new(outlet),
-                teg_delta: DegC::new(delta),
-                cpu_power: Watts::new(cpu),
-                cooling_power: Watts::new(cooling),
-                harvest_power: Watts::new(harvest),
-            })
-            .collect();
-        let columns = FleetColumns::from_servers(&servers);
-        prop_assert_eq!(columns.len(), servers.len());
-        let back = columns.to_servers();
-        prop_assert_eq!(back.len(), servers.len());
-        for (a, b) in servers.iter().zip(&back) {
-            prop_assert_eq!(a.utilization.value().to_bits(), b.utilization.value().to_bits());
-            prop_assert_eq!(a.inlet.value().to_bits(), b.inlet.value().to_bits());
-            prop_assert_eq!(a.outlet.value().to_bits(), b.outlet.value().to_bits());
-            prop_assert_eq!(a.teg_delta.value().to_bits(), b.teg_delta.value().to_bits());
-            prop_assert_eq!(a.cpu_power.value().to_bits(), b.cpu_power.value().to_bits());
-            prop_assert_eq!(
-                a.cooling_power.value().to_bits(),
-                b.cooling_power.value().to_bits()
-            );
-            prop_assert_eq!(
-                a.harvest_power.value().to_bits(),
-                b.harvest_power.value().to_bits()
-            );
         }
     }
 

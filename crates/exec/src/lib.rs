@@ -9,26 +9,24 @@
 //! built on [`std::thread::scope`] — the workspace builds fully
 //! offline, so no rayon.
 //!
-//! For fleet-scale runs the pool composes with a [`ChunkPlan`]
-//! (circulation → chunk → lane): the plan groups whole circulations
-//! into memory-bounded chunks, and the pool shards each chunk's
-//! circulations across lanes.
+//! The pool composes with a [`ChunkPlan`] (circulation → chunk →
+//! lane): the plan groups whole circulations into memory-bounded
+//! chunks, and the pool shards each chunk's circulations across lanes,
+//! one circulation across all control intervals per item.
 //!
 //! # Determinism contract
 //!
-//! [`par_map`], [`try_par_map`] and [`try_par_chunks`] return results
-//! in **input order**, and every element is produced by one call of the
+//! [`par_map`] and [`try_par_map`] return results in **input order**, and every element is produced by one call of the
 //! supplied function on that element alone. For a deterministic
 //! function the output is therefore bit-identical for every worker
 //! count, including the spawn-free sequential path taken when one
-//! worker (or one item) is requested. [`try_par_map`] and
-//! [`try_par_chunks`] report the error of the **lowest-indexed**
-//! failing element, again independent of thread scheduling.
+//! worker (or one item) is requested. [`try_par_map`] reports the
+//! error of the **lowest-indexed** failing element, again independent
+//! of thread scheduling.
 //!
 //! # Observability
 //!
-//! The `*_observed` variants ([`try_par_map_observed`],
-//! [`try_par_chunks_observed`]) additionally record pool telemetry —
+//! [`try_par_map_observed`] additionally records pool telemetry —
 //! tasks per lane, queue wait, busy/idle time, error and panic counts
 //! — through a [`PoolTelemetry`] bundle resolved from an
 //! `h2p_telemetry::Registry`. Instrumentation is per lane, never per
@@ -39,18 +37,14 @@
 //! # Examples
 //!
 //! ```
-//! use std::num::NonZeroUsize;
-//!
 //! let workers = h2p_exec::worker_count();
 //! let squares = h2p_exec::par_map(workers, &[1, 2, 3, 4], |_, &x| x * x);
 //! assert_eq!(squares, vec![1, 4, 9, 16]);
 //!
-//! let sums: Result<Vec<i64>, &str> = h2p_exec::try_par_chunks(
-//!     workers,
-//!     &[1i64, 2, 3, 4, 5],
-//!     NonZeroUsize::new(2).expect("non-zero"),
-//!     |_, chunk| Ok(chunk.iter().sum()),
-//! );
+//! let sums: Result<Vec<i64>, &str> =
+//!     h2p_exec::try_par_map(workers, &[[1i64, 2], [3, 4], [5, 0]], |_, pair| {
+//!         Ok(pair.iter().sum())
+//!     });
 //! assert_eq!(sums, Ok(vec![3, 7, 5]));
 //! ```
 
@@ -226,127 +220,6 @@ where
     })
 }
 
-/// Shards `items.chunks(chunk_size)` across the worker pool: `f` is
-/// called once per chunk with the chunk's index and slice, and the
-/// per-chunk results come back in chunk order (the deterministic-merge
-/// building block of the simulation engine).
-///
-/// # Errors
-///
-/// Returns the first error by chunk index, if any call of `f` fails.
-pub fn try_par_chunks<T, R, E, F>(
-    workers: NonZeroUsize,
-    items: &[T],
-    chunk_size: NonZeroUsize,
-    f: F,
-) -> Result<Vec<R>, E>
-where
-    T: Sync,
-    R: Send,
-    E: Send,
-    F: Fn(usize, &[T]) -> Result<R, E> + Sync,
-{
-    let chunks: Vec<&[T]> = items.chunks(chunk_size.get()).collect();
-    try_par_map(workers, &chunks, |i, chunk| f(i, chunk))
-}
-
-/// [`try_par_chunks`] with pool telemetry (see
-/// [`try_par_map_observed`] for the observation contract).
-///
-/// # Errors
-///
-/// Returns the first error by chunk index, if any call of `f` fails.
-pub fn try_par_chunks_observed<T, R, E, F>(
-    pool: &PoolTelemetry,
-    workers: NonZeroUsize,
-    items: &[T],
-    chunk_size: NonZeroUsize,
-    f: F,
-) -> Result<Vec<R>, E>
-where
-    T: Sync,
-    R: Send,
-    E: Send,
-    F: Fn(usize, &[T]) -> Result<R, E> + Sync,
-{
-    let chunks: Vec<&[T]> = items.chunks(chunk_size.get()).collect();
-    try_par_map_observed(pool, workers, &chunks, |i, chunk| f(i, chunk))
-}
-
-/// Sparse [`try_par_chunks`]: shards only the chunks whose indices
-/// appear in `indices` (the *dirty set* of the simulation kernel),
-/// calling `f` once per selected chunk with the chunk's index and
-/// slice. Results come back **in `indices` order**, so for a sorted
-/// dirty set the merge stays deterministic for every worker count.
-/// Out-of-range indices yield empty slices (`f` sees them as such)
-/// rather than panicking on a worker thread.
-///
-/// An empty `indices` set returns `Ok(vec![])` without spawning — the
-/// all-held fast path of a change-tolerant kernel costs no threads.
-///
-/// # Errors
-///
-/// Returns the first error by position in `indices`, if any call of
-/// `f` fails.
-pub fn try_par_sparse_chunks<T, R, E, F>(
-    workers: NonZeroUsize,
-    items: &[T],
-    chunk_size: NonZeroUsize,
-    indices: &[usize],
-    f: F,
-) -> Result<Vec<R>, E>
-where
-    T: Sync,
-    R: Send,
-    E: Send,
-    F: Fn(usize, &[T]) -> Result<R, E> + Sync,
-{
-    try_par_sparse_chunks_observed(
-        &PoolTelemetry::disabled(),
-        workers,
-        items,
-        chunk_size,
-        indices,
-        f,
-    )
-}
-
-/// [`try_par_sparse_chunks`] with pool telemetry (see
-/// [`try_par_map_observed`] for the observation contract).
-///
-/// # Errors
-///
-/// Returns the first error by position in `indices`, if any call of
-/// `f` fails.
-pub fn try_par_sparse_chunks_observed<T, R, E, F>(
-    pool: &PoolTelemetry,
-    workers: NonZeroUsize,
-    items: &[T],
-    chunk_size: NonZeroUsize,
-    indices: &[usize],
-    f: F,
-) -> Result<Vec<R>, E>
-where
-    T: Sync,
-    R: Send,
-    E: Send,
-    F: Fn(usize, &[T]) -> Result<R, E> + Sync,
-{
-    if indices.is_empty() {
-        return Ok(Vec::new());
-    }
-    let size = chunk_size.get();
-    let selected: Vec<(usize, &[T])> = indices
-        .iter()
-        .map(|&i| {
-            let start = i.saturating_mul(size).min(items.len());
-            let end = start.saturating_add(size).min(items.len());
-            (i, &items[start..end])
-        })
-        .collect();
-    try_par_map_observed(pool, workers, &selected, |_, &(i, chunk)| f(i, chunk))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -411,33 +284,6 @@ mod tests {
     }
 
     #[test]
-    fn try_par_chunks_covers_ragged_tail() {
-        let items: Vec<u32> = (1..=10).collect();
-        let sums: Result<Vec<(usize, u32)>, ()> =
-            try_par_chunks(nz(4), &items, nz(4), |i, chunk| {
-                Ok((i, chunk.iter().sum::<u32>()))
-            });
-        // Chunks [1..4], [5..8], [9, 10] — the ragged tail keeps its own
-        // index and its own (smaller) extent.
-        assert_eq!(sums, Ok(vec![(0, 10), (1, 26), (2, 19)]));
-    }
-
-    #[test]
-    fn try_par_chunks_error_is_deterministic() {
-        let items: Vec<u32> = (0..97).collect();
-        for workers in [1, 3, 9] {
-            let r: Result<Vec<u32>, usize> = try_par_chunks(nz(workers), &items, nz(10), |i, _| {
-                if i >= 4 {
-                    Err(i)
-                } else {
-                    Ok(0)
-                }
-            });
-            assert_eq!(r, Err(4), "workers = {workers}");
-        }
-    }
-
-    #[test]
     #[should_panic(expected = "boom")]
     fn worker_panic_propagates() {
         let items: Vec<u32> = (0..8).collect();
@@ -445,61 +291,6 @@ mod tests {
             assert!(x < 6, "boom");
             x
         });
-    }
-
-    #[test]
-    fn sparse_chunks_cover_only_the_dirty_set_in_order() {
-        let items: Vec<u32> = (1..=10).collect();
-        for workers in [1, 2, 4, 8] {
-            let sums: Result<Vec<(usize, u32)>, ()> =
-                try_par_sparse_chunks(nz(workers), &items, nz(4), &[0, 2], |i, chunk| {
-                    Ok((i, chunk.iter().sum::<u32>()))
-                });
-            // Chunk 1 ([5..8]) is held: never evaluated. The ragged tail
-            // (chunk 2) keeps its own extent.
-            assert_eq!(sums, Ok(vec![(0, 10), (2, 19)]), "workers = {workers}");
-        }
-    }
-
-    #[test]
-    fn sparse_chunks_empty_set_and_out_of_range() {
-        let items: Vec<u32> = (1..=10).collect();
-        let none: Result<Vec<u32>, ()> =
-            try_par_sparse_chunks(nz(4), &items, nz(4), &[], |_, _| Ok(0));
-        assert_eq!(none, Ok(vec![]));
-        // An out-of-range index maps to an empty slice, not a panic.
-        let oob: Result<Vec<usize>, ()> =
-            try_par_sparse_chunks(nz(4), &items, nz(4), &[1, 99], |_, chunk| Ok(chunk.len()));
-        assert_eq!(oob, Ok(vec![4, 0]));
-    }
-
-    #[test]
-    fn sparse_chunks_error_is_first_by_position() {
-        let items: Vec<u32> = (0..40).collect();
-        for workers in [1, 3, 8] {
-            let r: Result<Vec<u32>, usize> =
-                try_par_sparse_chunks(nz(workers), &items, nz(4), &[7, 3, 5], |i, _| {
-                    if i != 7 {
-                        Err(i)
-                    } else {
-                        Ok(0)
-                    }
-                });
-            // Position order (7 first), not index order: 3 is the first
-            // failing *position*.
-            assert_eq!(r, Err(3), "workers = {workers}");
-        }
-    }
-
-    #[test]
-    fn sparse_chunks_agree_with_dense_chunks_on_the_full_set() {
-        let items: Vec<f64> = (0..57).map(|i| f64::from(i) * 0.3).collect();
-        let all: Vec<usize> = (0..items.len().div_ceil(5)).collect();
-        let dense: Result<Vec<f64>, ()> =
-            try_par_chunks(nz(4), &items, nz(5), |_, c| Ok(c.iter().sum()));
-        let sparse: Result<Vec<f64>, ()> =
-            try_par_sparse_chunks(nz(4), &items, nz(5), &all, |_, c| Ok(c.iter().sum()));
-        assert_eq!(dense, sparse);
     }
 
     #[test]
@@ -556,26 +347,6 @@ mod tests {
         // 3 parallel runs); the inline run short-circuits at its first
         // failure, observed as one error.
         assert_eq!(errors, 7 * 3 + 1);
-    }
-
-    #[test]
-    fn observed_chunks_match_unobserved() {
-        let registry = h2p_telemetry::Registry::new();
-        let pool = PoolTelemetry::from_registry(&registry);
-        let items: Vec<u32> = (1..=10).collect();
-        let sums: Result<Vec<u32>, ()> =
-            try_par_chunks_observed(&pool, nz(4), &items, nz(4), |_, chunk| {
-                Ok(chunk.iter().sum::<u32>())
-            });
-        assert_eq!(sums, Ok(vec![10, 26, 19]));
-        // Chunk-level sharding: 3 chunks become 3 "tasks".
-        let tasks = registry
-            .counters()
-            .into_iter()
-            .find(|(n, _)| n == "pool.tasks")
-            .map(|(_, v)| v)
-            .unwrap();
-        assert_eq!(tasks, 3);
     }
 
     #[test]

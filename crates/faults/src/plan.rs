@@ -715,6 +715,22 @@ impl CompiledFaults {
             && reading.value() <= self.plausible_hi.value()
     }
 
+    /// The plausible readings the plan's live sensor faults report at
+    /// `step` when the true cold-source temperature is `truth` (one per
+    /// sensor-faulted circulation, duplicates included) — the corrupted
+    /// inputs an engine must resolve an optimizer for. Pure in
+    /// `(self, step, truth)`.
+    pub fn plausible_readings(
+        &self,
+        step: usize,
+        truth: Celsius,
+    ) -> impl Iterator<Item = Celsius> + '_ {
+        (0..self.circulations())
+            .filter_map(move |circ| self.active_at(circ, step)?.sensor)
+            .map(move |sensor| sensor.corrupt(truth))
+            .filter(|&reading| self.is_plausible(reading))
+    }
+
     /// The faults active for `circulation` at `step`, or `None` when
     /// the circulation-step is healthy (the engine's fast path — it
     /// falls straight through to the unfaulted code).

@@ -25,7 +25,7 @@ pub fn validate(value: f64) -> bool {
 
 /// A kernel event queue holds ordered data in a `BTreeMap`, so the
 /// forced re-evaluation schedule visits steps in step order on every
-/// run (L8-clean; mirrors `h2p_core::kernel::ChangeKernel`).
+/// run (L8-clean; mirrors `h2p_faults::CompiledFaults::evaluation_events`).
 pub fn forced_steps(forced: &BTreeMap<usize, Vec<usize>>) -> Vec<usize> {
     forced.keys().copied().collect()
 }

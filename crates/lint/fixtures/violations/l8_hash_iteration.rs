@@ -45,8 +45,8 @@ pub fn sorted_ids(seen: &HashSet<u64>) -> Vec<u64> {
 /// Violation: a kernel-style forced-event queue held in a `HashMap`.
 /// Draining `step → circulations` in hash order would make the
 /// re-evaluation schedule (and hence every downstream fold) differ
-/// run to run; the engine's queue must be a `BTreeMap` (or a sorted
-/// `Vec`), as in `h2p_core::kernel::ChangeKernel`.
+/// run to run; such a queue must be a `BTreeMap` (or a sorted `Vec`),
+/// as in `h2p_faults::CompiledFaults::evaluation_events`.
 pub struct EventQueue {
     forced: HashMap<usize, Vec<usize>>,
 }
