@@ -125,10 +125,10 @@ pub struct OptimizedSetting {
 ///
 /// The optimizer is a *pure function* of its construction parameters:
 /// [`optimize`](CoolingOptimizer::optimize) reads the lookup space and
-/// never mutates anything, so one optimizer can be built per distinct
-/// cold-source temperature and reused across every control interval and
-/// every worker thread of a simulation run (it is `Sync`; the
-/// compile-time assertion below keeps that guarantee from regressing).
+/// never mutates anything, so a decision can be memoized on its exact
+/// inputs, and building an optimizer costs only a parameter check and
+/// a few copies. It is `Sync`; the compile-time assertion below keeps
+/// that guarantee from regressing.
 ///
 /// See the [crate-level documentation](crate) for an example.
 #[derive(Debug, Clone)]
@@ -190,13 +190,13 @@ impl<'a> CoolingOptimizer<'a> {
         }
     }
 
-    /// Attaches the optimizer's decision/search counters to `registry`
-    /// (see [`OptimizerTelemetry`]). A disabled registry leaves the
-    /// optimizer observation-free. Purely additive: the chosen
+    /// Attaches a resolved observation bundle (see
+    /// [`OptimizerTelemetry::from_registry`]); a disabled bundle leaves
+    /// the optimizer observation-free. Purely additive: the chosen
     /// settings are bit-identical with or without telemetry.
     #[must_use]
-    pub fn with_telemetry(mut self, registry: &Registry) -> Self {
-        self.telemetry = OptimizerTelemetry::from_registry(registry);
+    pub fn with_telemetry(mut self, telemetry: OptimizerTelemetry) -> Self {
+        self.telemetry = telemetry;
         self
     }
 
@@ -346,7 +346,8 @@ mod tests {
         let space = space();
         let registry = h2p_telemetry::Registry::new();
         let plain = CoolingOptimizer::paper_default(&space);
-        let observed = CoolingOptimizer::paper_default(&space).with_telemetry(&registry);
+        let observed = CoolingOptimizer::paper_default(&space)
+            .with_telemetry(OptimizerTelemetry::from_registry(&registry));
         assert!(observed.telemetry.is_enabled());
 
         for x in [0.1, 0.5, 0.9] {
@@ -360,9 +361,9 @@ mod tests {
             "each decision scores at least one candidate"
         );
 
-        // A disabled registry attaches a disabled bundle.
-        let unattached =
-            CoolingOptimizer::paper_default(&space).with_telemetry(&Registry::disabled());
+        // A disabled registry resolves a disabled bundle.
+        let unattached = CoolingOptimizer::paper_default(&space)
+            .with_telemetry(OptimizerTelemetry::from_registry(&Registry::disabled()));
         assert!(!unattached.telemetry.is_enabled());
         assert!(unattached.optimize(u(0.5)).is_some());
     }

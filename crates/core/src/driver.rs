@@ -19,13 +19,10 @@
 use crate::kernel::{HeldDecision, KernelStats};
 use crate::simulation::{CircPartial, Simulator, StepFold};
 use crate::H2pError;
-use h2p_cooling::CoolingOptimizer;
 use h2p_exec::ChunkPlan;
 use h2p_sched::SchedulingPolicy;
 use h2p_units::{Celsius, Seconds, Utilization};
 use h2p_workload::{ClusterTrace, TraceGenerator};
-use std::collections::hash_map::Entry;
-use std::collections::HashMap;
 use std::ops::Range;
 
 /// Where a run's resident chunks come from.
@@ -70,12 +67,11 @@ impl Source<'_> {
 
 /// One circulation-step as a lane evaluates it.
 #[derive(Clone, Copy)]
-pub(crate) struct At<'a, 'o> {
+pub(crate) struct At {
     pub(crate) circ: usize,
     pub(crate) step: usize,
+    /// The true cold-source reading.
     pub(crate) cold: Celsius,
-    /// The optimizer for the true cold reading `cold`.
-    pub(crate) optimizer: &'a CoolingOptimizer<'o>,
 }
 
 /// What a lane evaluates each circulation-step under: the plain engine
@@ -94,7 +90,7 @@ pub(crate) trait Overlay: Sync {
     fn evaluate(
         &self,
         sim: &Simulator,
-        at: At<'_, '_>,
+        at: At,
         chunk: &[Utilization],
         policy: &dyn SchedulingPolicy,
     ) -> Result<Self::Partial, H2pError>;
@@ -125,11 +121,11 @@ impl Overlay for Healthy {
     fn evaluate(
         &self,
         sim: &Simulator,
-        at: At<'_, '_>,
+        at: At,
         chunk: &[Utilization],
         policy: &dyn SchedulingPolicy,
     ) -> Result<CircPartial, H2pError> {
-        sim.simulate_circulation(chunk, policy, at.optimizer, at.cold)
+        sim.simulate_circulation(chunk, policy, at.cold)
     }
 
     fn replay(held: CircPartial) -> CircPartial {
@@ -157,8 +153,7 @@ impl Simulator {
     ///
     /// # Errors
     ///
-    /// Optimizer construction failures, the lowest-indexed
-    /// circulation's evaluation error, and
+    /// The lowest-indexed circulation's evaluation error, and
     /// [`H2pError::FleetPlanMismatch`] when the shard stream runs dry
     /// before the plan does.
     pub(crate) fn drive<O: Overlay>(
@@ -170,21 +165,8 @@ impl Simulator {
         let n_steps = source.steps();
         let circ_size = self.circulation_size(source.servers());
 
-        // The optimizer depends only on the cold-source temperature:
-        // construct one per distinct cold reading over the whole run (a
-        // constant source gets exactly one), not one per step.
-        let mut colds = Vec::with_capacity(n_steps);
-        let mut optimizers: HashMap<u64, CoolingOptimizer<'_>> = HashMap::new();
-        for step in 0..n_steps {
-            let cold = self.config.cold_source.temperature(source.time(step));
-            if let Entry::Vacant(entry) = optimizers.entry(cold.value().to_bits()) {
-                entry.insert(self.new_optimizer(cold)?);
-            }
-            colds.push(cold);
-        }
-        let colds: Vec<(Celsius, &CoolingOptimizer<'_>)> = colds
-            .into_iter()
-            .map(|cold| (cold, &optimizers[&cold.value().to_bits()]))
+        let colds: Vec<Celsius> = (0..n_steps)
+            .map(|step| self.config.cold_source.temperature(source.time(step)))
             .collect();
 
         let mut folds: Vec<O::Fold> = (0..n_steps).map(|_| O::Fold::default()).collect();
@@ -238,7 +220,7 @@ impl Simulator {
         trace: &ClusterTrace,
         servers: Range<usize>,
         circ: usize,
-        colds: &[(Celsius, &CoolingOptimizer<'_>)],
+        colds: &[Celsius],
         policy: &dyn SchedulingPolicy,
         overlay: &O,
     ) -> Result<Vec<O::Partial>, H2pError> {
@@ -247,7 +229,7 @@ impl Simulator {
         let mut held: Option<HeldDecision> = None;
         let mut was_live = false;
         let mut tally = KernelStats::default();
-        for (step, &(cold, optimizer)) in colds.iter().enumerate() {
+        for (step, &cold) in colds.iter().enumerate() {
             loads.clear();
             loads.extend(servers.clone().map(|s| trace.trace(s).get(step)));
             let mut u_ctrl = 0.0;
@@ -272,13 +254,7 @@ impl Simulator {
                 }
             }
             let t0 = self.telemetry.registry.now_nanos();
-            let at = At {
-                circ,
-                step,
-                cold,
-                optimizer,
-            };
-            let partial = overlay.evaluate(self, at, &loads, policy)?;
+            let partial = overlay.evaluate(self, At { circ, step, cold }, &loads, policy)?;
             self.telemetry
                 .circ_wall
                 .record(self.telemetry.registry.now_nanos().saturating_sub(t0));

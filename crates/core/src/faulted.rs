@@ -57,7 +57,6 @@
 use crate::driver::{At, Overlay, Source};
 use crate::simulation::{CircPartial, SimulationResult, Simulator, StepFold, StepRecord};
 use crate::H2pError;
-use h2p_cooling::CoolingOptimizer;
 use h2p_faults::{
     ActiveFaults, CompiledFaults, FaultLedger, FaultPlan, StepAttribution, StepPowers,
 };
@@ -65,7 +64,6 @@ use h2p_sched::SchedulingPolicy;
 use h2p_server::ThrottleController;
 use h2p_units::{Celsius, LitersPerHour, Utilization, Watts};
 use h2p_workload::ClusterTrace;
-use std::collections::HashMap;
 
 /// Result of a fault-injected run: the degraded-world series plus the
 /// degradation account.
@@ -130,17 +128,15 @@ struct FaultFold {
     faulted_active: u64,
 }
 
-/// A compiled fault plan as the driver's overlay, with an optimizer
-/// resolved for every plausible corrupted cold reading of the run.
-struct FaultOverlay<'s> {
+/// A compiled fault plan as the driver's overlay. A plausible corrupted
+/// cold reading is decided by [`Simulator::cooling_setting`] like any
+/// other; a reading that is implausible, or that the optimizer cannot
+/// serve, takes the clamped fallback.
+struct FaultOverlay {
     compiled: CompiledFaults,
-    /// Optimizers by sensed reading bits. `None` records that
-    /// construction failed for that reading — such circulations take
-    /// the clamped fallback instead.
-    sensed: HashMap<u64, Option<CoolingOptimizer<'s>>>,
 }
 
-impl Overlay for FaultOverlay<'_> {
+impl Overlay for FaultOverlay {
     type Partial = FaultedPartial;
     type Fold = FaultFold;
 
@@ -151,7 +147,7 @@ impl Overlay for FaultOverlay<'_> {
     fn evaluate(
         &self,
         sim: &Simulator,
-        at: At<'_, '_>,
+        at: At,
         chunk: &[Utilization],
         policy: &dyn SchedulingPolicy,
     ) -> Result<FaultedPartial, H2pError> {
@@ -219,21 +215,9 @@ impl Simulator {
     ) -> Result<FaultedRun, H2pError> {
         let source = Source::Trace(cluster);
         let servers = cluster.servers();
-        let compiled = plan.compile(servers, self.circulation_size(servers), cluster.steps());
-        // Resolve every corrupted reading up front, so lanes only
-        // *read* the optimizer map. Sensed readings are pure functions
-        // of (plan, circulation, step), so this cannot perturb
-        // determinism.
-        let mut sensed = HashMap::new();
-        for step in 0..cluster.steps() {
-            let cold = self.config.cold_source.temperature(source.time(step));
-            for reading in compiled.plausible_readings(step, cold) {
-                sensed
-                    .entry(reading.value().to_bits())
-                    .or_insert_with(|| self.new_optimizer(reading).ok());
-            }
-        }
-        let overlay = FaultOverlay { compiled, sensed };
+        let overlay = FaultOverlay {
+            compiled: plan.compile(servers, self.circulation_size(servers), cluster.steps()),
+        };
         let folds = self.drive(&source, policy, &overlay)?;
 
         // The faulted world goes through the same fold as the plan-free
@@ -314,21 +298,16 @@ impl Simulator {
     /// like `simulate_circulation`.
     fn simulate_circulation_faulted(
         &self,
-        overlay: &FaultOverlay<'_>,
-        at: At<'_, '_>,
+        overlay: &FaultOverlay,
+        at: At,
         chunk: &[Utilization],
         policy: &dyn SchedulingPolicy,
     ) -> Result<FaultedPartial, H2pError> {
-        let At {
-            circ,
-            step,
-            cold,
-            optimizer,
-        } = at;
+        let At { circ, step, cold } = at;
         let compiled = &overlay.compiled;
         // Layer H — exactly the plan-free computation (shared code, so
         // a zero-fault plan is bit-identical by construction).
-        let healthy = self.simulate_circulation(chunk, policy, optimizer, cold)?;
+        let healthy = self.simulate_circulation(chunk, policy, cold)?;
         let Some(active) = compiled.active_at(circ, step) else {
             return Ok(FaultedPartial::healthy_passthrough(healthy));
         };
@@ -359,15 +338,10 @@ impl Simulator {
         let mut fallback = false;
         let setting_s: LayerSetting = if let Some(sensor) = active.sensor {
             let sensed = sensor.corrupt(cold);
-            let served = if compiled.is_plausible(sensed) {
-                overlay
-                    .sensed
-                    .get(&sensed.value().to_bits())
-                    .and_then(Option::as_ref)
-                    .and_then(|opt| self.optimized_setting(opt, u_ctrl, sensed).ok())
-            } else {
-                None
-            };
+            let served = compiled
+                .is_plausible(sensed)
+                .then(|| self.cooling_setting(u_ctrl, sensed).ok())
+                .flatten();
             match served {
                 Some(chosen) => LayerSetting {
                     flow: chosen.setting.flow,
@@ -380,7 +354,7 @@ impl Simulator {
                 }
             }
         } else {
-            let chosen = self.optimized_setting(optimizer, u_ctrl, cold)?;
+            let chosen = self.cooling_setting(u_ctrl, cold)?;
             LayerSetting {
                 flow: chosen.setting.flow,
                 inlet: chosen.setting.inlet,

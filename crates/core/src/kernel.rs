@@ -23,9 +23,9 @@
 //! exact stepper: a hold is taken only when the circulation's *entire
 //! load chunk* and the cold-source temperature are **bit-identical** to
 //! the held decision's. Because `simulate_circulation` is a pure
-//! function of `(chunk, cold)` (the optimizer is hoisted per cold
-//! value, the setting cache is exact-keyed), replaying the held partial
-//! returns the very bits a re-evaluation would — so `tolerance = 0`
+//! function of `(chunk, cold)` (its one cooling decision,
+//! `Simulator::cooling_setting`, is exact-keyed), replaying the held
+//! partial returns the very bits a re-evaluation would — so `tolerance = 0`
 //! kernel runs are bit-identical to runs without a kernel, which stay
 //! the oracle (`tests/kernel_transparency.rs`).
 //!

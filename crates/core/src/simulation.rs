@@ -24,18 +24,23 @@
 //! function of its circulation's loads, and the fold order never
 //! depends on thread scheduling.
 //!
-//! Two hot-path reuses keep the engine fast without breaking that
-//! contract (see DESIGN.md §8 for the invariants):
+//! Two properties of the cooling decision keep the engine fast without
+//! breaking that contract (see DESIGN.md §8 for the invariants):
 //!
-//! * **optimizer hoisting** — a [`CoolingOptimizer`] depends only on
-//!   the cold-source temperature, so one is constructed per *distinct*
-//!   cold value rather than once per step;
-//! * **exact-key setting cache** — optimizer choices are memoized under
-//!   the exact `(u_control, cold)` bit pattern, shared across
-//!   circulations, steps, threads and runs. Because
+//! * **one decision path** — [`Simulator::cooling_setting`] is the only
+//!   place the engine (and `h2p-jobs`' placement loop) turns a control
+//!   utilization and a cold-side reading into `{f, T_warm_in}`. A
+//!   [`CoolingOptimizer`] is only validated parameters around the
+//!   lookup space, so it is built on the spot for each fresh decision;
+//!   healthy steps, corrupted sensor readings and placement scoring all
+//!   go through the same function;
+//! * **exact-key setting cache** — its choices are memoized under the
+//!   exact `(u_control, cold)` bit pattern, shared across circulations,
+//!   steps, threads, runs and placements. Because
 //!   [`CoolingOptimizer::optimize`] is deterministic in those exact
 //!   inputs, a cache hit returns the same bits a fresh search would —
-//!   the cache is observationally transparent. (An earlier revision
+//!   the cache is observationally transparent, and every
+//!   `optimizer.decisions` count is a cache miss. (An earlier revision
 //!   quantized the cold temperature to 1/16 °C in a run-wide key, which
 //!   silently replayed settings optimized for one cold temperature at
 //!   another as the source drifted.)
@@ -44,7 +49,9 @@ use crate::driver::{Healthy, Source};
 use crate::fleet::{EngineLayout, FleetColumns};
 use crate::kernel::{KernelStats, KernelTolerance};
 use crate::H2pError;
-use h2p_cooling::{CoolingOptimizer, CoolingPlant, OptimizedSetting, PlantLoad};
+use h2p_cooling::{
+    CoolingOptimizer, CoolingPlant, OptimizedSetting, OptimizerTelemetry, PlantLoad,
+};
 use h2p_exec::{ChunkPlan, PoolTelemetry};
 use h2p_hydraulics::{ColdSource, Pump};
 use h2p_sched::SchedulingPolicy;
@@ -480,6 +487,8 @@ pub(crate) struct EngineTelemetry {
     pub(crate) registry: Registry,
     pub(crate) pool: PoolTelemetry,
     pub(crate) circ_wall: Histogram,
+    /// The optimizer counters every fresh decision reports into.
+    optimizer: OptimizerTelemetry,
     runs: Counter,
     steps: Counter,
     /// Kernel accounting: circulation-steps re-simulated vs. answered
@@ -495,6 +504,7 @@ impl EngineTelemetry {
             registry: Registry::disabled(),
             pool: PoolTelemetry::disabled(),
             circ_wall: Histogram::disabled(),
+            optimizer: OptimizerTelemetry::disabled(),
             runs: Counter::new(),
             steps: Counter::new(),
             circs_evaluated: Counter::new(),
@@ -517,6 +527,7 @@ impl EngineTelemetry {
                     &BucketSpec::duration_default(),
                 )
                 .unwrap_or_else(|_| Histogram::disabled()),
+            optimizer: OptimizerTelemetry::from_registry(registry),
             runs: registry.counter("engine.runs"),
             steps: registry.counter("engine.steps"),
             circs_evaluated: registry.counter("engine.circulations_evaluated"),
@@ -769,8 +780,9 @@ impl Simulator {
     }
 
     /// Attaches a telemetry registry: the circulation wall-time
-    /// histogram, pool telemetry, run/step and kernel counters, and the cache
-    /// counters all become visible through `registry` (and in its
+    /// histogram, pool telemetry, run/step, kernel and optimizer
+    /// counters (resolved once, here), and the cache counters all
+    /// become visible through `registry` (and in its
     /// [`RunReport`](h2p_telemetry::RunReport)). Attaching
     /// [`Registry::disabled`] detaches. Simulation *results* are
     /// bit-identical with telemetry attached or not — observation
@@ -950,16 +962,11 @@ impl Simulator {
         &self,
         chunk: &[Utilization],
         policy: &dyn SchedulingPolicy,
-        optimizer: &CoolingOptimizer<'_>,
         cold: Celsius,
     ) -> Result<CircPartial, H2pError> {
         match self.layout {
-            EngineLayout::Scalar => {
-                self.simulate_circulation_scalar(chunk, policy, optimizer, cold)
-            }
-            EngineLayout::Columns => {
-                self.simulate_circulation_columns(chunk, policy, optimizer, cold)
-            }
+            EngineLayout::Scalar => self.simulate_circulation_scalar(chunk, policy, cold),
+            EngineLayout::Columns => self.simulate_circulation_columns(chunk, policy, cold),
         }
     }
 
@@ -970,12 +977,11 @@ impl Simulator {
         &self,
         chunk: &[Utilization],
         policy: &dyn SchedulingPolicy,
-        optimizer: &CoolingOptimizer<'_>,
         cold: Celsius,
     ) -> Result<CircPartial, H2pError> {
         let scheduled = policy.schedule(chunk);
         let u_ctrl = policy.control_utilization(chunk);
-        let chosen = self.optimized_setting(optimizer, u_ctrl, cold)?;
+        let chosen = self.cooling_setting(u_ctrl, cold)?;
         let mut partial = CircPartial {
             teg: 0.0,
             cpu: 0.0,
@@ -1025,7 +1031,6 @@ impl Simulator {
         &self,
         chunk: &[Utilization],
         policy: &dyn SchedulingPolicy,
-        optimizer: &CoolingOptimizer<'_>,
         cold: Celsius,
     ) -> Result<CircPartial, H2pError> {
         thread_local! {
@@ -1035,7 +1040,7 @@ impl Simulator {
         }
         let scheduled = policy.schedule(chunk);
         let u_ctrl = policy.control_utilization(chunk);
-        let chosen = self.optimized_setting(optimizer, u_ctrl, cold)?;
+        let chosen = self.cooling_setting(u_ctrl, cold)?;
         SCRATCH.with(|cell| {
             let mut columns = cell.borrow_mut();
             self.evaluate_columns(&scheduled, &chosen, cold, &mut columns)
@@ -1126,27 +1131,26 @@ impl Simulator {
         Ok(partial)
     }
 
-    /// Builds a cooling optimizer against the engine's lookup space for
-    /// one cold-side temperature, wired into the engine's telemetry.
-    /// The driver builds one optimizer per distinct cold-source
-    /// reading.
-    pub(crate) fn new_optimizer(&self, cold: Celsius) -> Result<CoolingOptimizer<'_>, H2pError> {
-        Ok(CoolingOptimizer::new(
-            &self.space,
-            self.config.module,
-            self.config.pump,
-            self.config.t_safe,
-            self.config.tolerance,
-            cold,
-        )?
-        .with_telemetry(&self.telemetry.registry))
-    }
-
-    /// Resolves the cooling setting for a control utilization, through
-    /// the shared exact-key cache.
-    pub(crate) fn optimized_setting(
+    /// The cooling decision (paper Sec. V-B, Steps 2-3): the setting
+    /// the optimizer picks for control utilization `u_ctrl` with the
+    /// TEG cold side read as `cold`, under this simulator's lookup
+    /// space, module, pump and safety band.
+    ///
+    /// This is the one decision path: every engine mode, the fault
+    /// overlay's corrupted sensor readings, and `h2p-jobs`' placement
+    /// loop call it. Answers come from the exact-key setting cache; a
+    /// miss builds the optimizer for `cold` on the spot (it only
+    /// validates and copies its parameters), searches, and memoizes the
+    /// result. Pure in `(u_ctrl, cold)` and the configuration, so safe
+    /// from any thread and transparent to cache state.
+    ///
+    /// # Errors
+    ///
+    /// [`H2pError::Cooling`] when the configured tolerance cannot build
+    /// an optimizer, and [`H2pError::NoFeasibleSetting`] when no
+    /// setting serves `u_ctrl` (cannot happen on the paper grid).
+    pub fn cooling_setting(
         &self,
-        optimizer: &CoolingOptimizer<'_>,
         u_ctrl: Utilization,
         cold: Celsius,
     ) -> Result<OptimizedSetting, H2pError> {
@@ -1154,11 +1158,19 @@ impl Simulator {
         if let Some(hit) = self.cache.get(&key) {
             return Ok(hit);
         }
-        let chosen = optimizer
-            .optimize(u_ctrl)
-            .ok_or(H2pError::NoFeasibleSetting {
-                control_utilization: u_ctrl.value(),
-            })?;
+        let chosen = CoolingOptimizer::new(
+            &self.space,
+            self.config.module,
+            self.config.pump,
+            self.config.t_safe,
+            self.config.tolerance,
+            cold,
+        )?
+        .with_telemetry(self.telemetry.optimizer.clone())
+        .optimize(u_ctrl)
+        .ok_or(H2pError::NoFeasibleSetting {
+            control_utilization: u_ctrl.value(),
+        })?;
         self.cache.insert(key, chosen);
         Ok(chosen)
     }

@@ -22,6 +22,7 @@ use h2p_core::simulation::{SimulationResult, Simulator};
 use h2p_faults::{FaultEvent, FaultKind, FaultPlan};
 use h2p_sched::LoadBalance;
 use h2p_telemetry::Registry;
+use h2p_units::{Celsius, DegC};
 use h2p_workload::{ClusterTrace, TraceGenerator, TraceKind};
 
 const KINDS: [TraceKind; 3] = [TraceKind::Drastic, TraceKind::Irregular, TraceKind::Common];
@@ -164,4 +165,60 @@ fn worker_count_does_not_change_observed_totals() {
     }
     assert!(step_counts.windows(2).all(|w| w[0] == w[1]));
     assert!(journals.windows(2).all(|w| w[0] == w[1]));
+}
+
+#[test]
+fn every_optimizer_decision_is_a_cache_miss() {
+    // One decision path: `Simulator::cooling_setting` is the only code
+    // that runs the optimizer, and only on a cache miss — healthy
+    // steps and corrupted sensor readings alike.
+    let decisions_match_misses = |registry: &Registry, what: &str| {
+        let counters: std::collections::BTreeMap<String, u64> =
+            registry.counters().into_iter().collect();
+        let decisions = counters["optimizer.decisions"];
+        assert!(decisions > 0, "{what}: the run must decide");
+        assert_eq!(decisions, counters["cache.misses"], "{what}");
+        decisions
+    };
+    let c = cluster(TraceKind::Drastic);
+    let registry = Registry::new();
+    let observed = sim(2).with_telemetry(&registry);
+    observed.run(&c, &LoadBalance).unwrap();
+    let dense = decisions_match_misses(&registry, "dense run");
+
+    // Noise hashes a fresh plausible reading per step; the stuck
+    // reading lies outside the plausibility band and takes the clamped
+    // fallback without a decision.
+    let sensors = FaultPlan::from_events(
+        vec![
+            FaultEvent::windowed(
+                FaultKind::SensorNoise {
+                    circulation: 0,
+                    sigma: DegC::new(1.5),
+                },
+                2,
+                10,
+            ),
+            FaultEvent::windowed(
+                FaultKind::SensorStuck {
+                    circulation: 1,
+                    reading: Celsius::new(95.0),
+                },
+                4,
+                9,
+            ),
+        ],
+        9,
+    )
+    .unwrap();
+    let faulted = observed
+        .run_with_faults(&c, &LoadBalance, &sensors)
+        .unwrap();
+    assert_eq!(
+        faulted.ledger.fallback_steps(),
+        5,
+        "stuck window → fallback"
+    );
+    let after = decisions_match_misses(&registry, "dense + faulted run");
+    assert!(after > dense, "noisy readings must reach the optimizer");
 }

@@ -7,21 +7,27 @@
 //! [`PlacementPolicy`](crate::PlacementPolicy) for a server per job,
 //! snapshots the committed column into the synthesized trace, and
 //! finally mirrors the simulation engine's thermal step (Sec. V-B
-//! optimizer, outlet/die lookups, Eq. 3 TEG output) to refresh the
+//! decision, outlet/die lookups, Eq. 3 TEG output) to refresh the
 //! [`ServerState`]s the *next* step's decisions will see. Policies
 //! therefore act on prior-step thermals plus current-step committed
 //! demand — never on anything downstream of their own decision — which
 //! is what makes the loop a pure sequential function of its inputs.
+//!
+//! Every cooling decision — the thermal step's and the harvest scorer's
+//! — is [`Simulator::cooling_setting`], the simulator's own decision
+//! path and exact-key cache, so placement and simulation share one
+//! memo and cannot disagree on a setting. The thermal step stays here
+//! only because it keeps per-server state the engine step does not
+//! return: each server's outlet, load, TEG output and its setting's
+//! safe utilization cap (memoized per setting, placement-only).
 
 use crate::{Job, JobsError};
-use h2p_cooling::{CoolingOptimizer, OptimizedSetting};
 use h2p_core::simulation::Simulator;
 use h2p_sched::SchedulingPolicy;
 use h2p_server::ThrottleController;
 use h2p_telemetry::{BucketSpec, Counter, Histogram, Registry};
 use h2p_units::{Celsius, Seconds, Utilization, Watts};
 use h2p_workload::{ClusterTrace, Trace};
-use std::cell::RefCell;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
@@ -64,8 +70,8 @@ impl ServerState {
 }
 
 /// Scores the marginal TEG-harvest effect of adding demand to a
-/// server. Implemented per step by the engine (with the step's
-/// optimizer and cold temperature); test doubles stub it out.
+/// server. Implemented per step by the engine (with the step's cold
+/// temperature); test doubles stub it out.
 pub(crate) trait HarvestScorer {
     /// Predicted change in the server's circulation TEG output
     /// (watts per server) if `demand` were committed to `server`,
@@ -157,31 +163,22 @@ pub(crate) fn view<'a>(
 }
 
 /// The engine's per-step scorer: marginal Eq. 3 TEG output through the
-/// step's cooling optimizer, memoized on the control-utilization bits
-/// (per cold-source temperature, like the engine's setting cache).
-struct StepScorer<'a, 'b> {
-    optimizer: &'a CoolingOptimizer<'b>,
+/// simulator's cooling decision at the step's cold-source temperature
+/// (memoized by the simulator's setting cache).
+struct StepScorer<'a> {
+    sim: &'a Simulator,
     sched: &'a dyn SchedulingPolicy,
-    cold_bits: u64,
-    teg_memo: &'a RefCell<HashMap<(u64, u64), Option<f64>>>,
+    cold: Celsius,
 }
 
-impl StepScorer<'_, '_> {
+impl StepScorer<'_> {
     fn teg_at(&self, u_ctrl: Utilization) -> Option<f64> {
-        let key = (self.cold_bits, u_ctrl.value().to_bits());
-        if let Some(&teg) = self.teg_memo.borrow().get(&key) {
-            return teg;
-        }
-        let teg = self
-            .optimizer
-            .optimize(u_ctrl)
-            .map(|setting| setting.teg_power.value());
-        self.teg_memo.borrow_mut().insert(key, teg);
-        teg
+        let setting = self.sim.cooling_setting(u_ctrl, self.cold).ok()?;
+        Some(setting.teg_power.value())
     }
 }
 
-impl HarvestScorer for StepScorer<'_, '_> {
+impl HarvestScorer for StepScorer<'_> {
     fn harvest_delta(
         &self,
         committed: &[f64],
@@ -383,11 +380,10 @@ impl<'a> PlacementEngine<'a> {
     ///
     /// # Errors
     ///
-    /// [`JobsError::NoFeasibleSetting`] if the cooling optimizer
-    /// cannot serve some control utilization (cannot happen on the
-    /// paper grid), [`JobsError::Thermal`] on lookup failures, and
-    /// [`JobsError::Trace`] if trace assembly rejects the synthesized
-    /// columns.
+    /// [`JobsError::Engine`] if the simulator's cooling decision fails
+    /// (cannot happen on the paper grid), [`JobsError::Thermal`] on
+    /// lookup failures, and [`JobsError::Trace`] if trace assembly
+    /// rejects the synthesized columns.
     pub fn place(
         &self,
         jobs: &[Job],
@@ -428,44 +424,27 @@ impl<'a> PlacementEngine<'a> {
         let mut states = vec![ServerState::initial(self.sim.config().t_safe); self.servers];
         let mut series: Vec<Vec<f64>> = vec![Vec::with_capacity(self.steps); self.servers];
 
-        // One optimizer per distinct cold-source reading over the run,
-        // one setting per distinct (cold, control utilization) — the
-        // same memoization shape as the simulation engine's cache.
-        let mut optimizers: HashMap<u64, CoolingOptimizer<'_>> = HashMap::new();
-        let mut settings: HashMap<(u64, u64), OptimizedSetting> = HashMap::new();
+        // Safety caps by setting bits (flow, inlet): placement-only
+        // state the engine step does not compute.
         let mut safe_caps: HashMap<(u64, u64), Utilization> = HashMap::new();
-        let teg_memo: RefCell<HashMap<(u64, u64), Option<f64>>> = RefCell::new(HashMap::new());
 
         // Policies observing "previous-step" state at step 0 see the
         // cluster idling at the cold-source temperature of time zero.
-        {
-            let cold = self.sim.config().cold_source.temperature(Seconds::new(0.0));
-            let optimizer = match optimizers.entry(cold.value().to_bits()) {
-                Entry::Occupied(entry) => entry.into_mut(),
-                Entry::Vacant(entry) => entry.insert(self.new_optimizer(cold)?),
-            };
-            let idle = vec![Utilization::IDLE; self.servers];
-            self.thermal_pass(
-                &idle,
-                circ_size,
-                optimizer,
-                cold,
-                &throttle,
-                &mut settings,
-                &mut safe_caps,
-                &mut states,
-            )?;
-        }
+        let cold = self.sim.config().cold_source.temperature(Seconds::new(0.0));
+        let idle = vec![Utilization::IDLE; self.servers];
+        self.thermal_pass(
+            &idle,
+            circ_size,
+            cold,
+            &throttle,
+            &mut safe_caps,
+            &mut states,
+        )?;
 
         let mut next_arrival = 0usize;
         for step in 0..self.steps {
             let time = Seconds::new(self.interval.value() * step as f64);
             let cold = self.sim.config().cold_source.temperature(time);
-            let cold_bits = cold.value().to_bits();
-            let optimizer = match optimizers.entry(cold_bits) {
-                Entry::Occupied(entry) => entry.into_mut(),
-                Entry::Vacant(entry) => entry.insert(self.new_optimizer(cold)?),
-            };
 
             // Release finished jobs and rebuild the committed column
             // from scratch in stable admission order, so the committed
@@ -477,10 +456,9 @@ impl<'a> PlacementEngine<'a> {
             }
 
             let scorer = StepScorer {
-                optimizer,
+                sim: self.sim,
                 sched: self.sched,
-                cold_bits,
-                teg_memo: &teg_memo,
+                cold,
             };
 
             // Queued jobs first (FIFO), then this step's arrivals.
@@ -550,10 +528,8 @@ impl<'a> PlacementEngine<'a> {
             outcome.throttle_violations += self.thermal_pass(
                 &column,
                 circ_size,
-                optimizer,
                 cold,
                 &throttle,
-                &mut settings,
                 &mut safe_caps,
                 &mut states,
             )?;
@@ -584,56 +560,34 @@ impl<'a> PlacementEngine<'a> {
         outcome: &mut PlacementOutcome,
     ) {
         demand[server] += job.demand().value();
-        active.push((index, step + job.duration_steps(self.interval), server));
+        // Saturating: any finite duration is a valid job, and a huge
+        // one simply outlives the horizon.
+        let end = step.saturating_add(job.duration_steps(self.interval));
+        active.push((index, end, server));
         outcome.placed += 1;
         self.telemetry.placed.add(1);
     }
 
-    /// Builds a cooling optimizer against the simulator's lookup space
-    /// for one cold-side temperature (mirrors the engine's own
-    /// construction).
-    fn new_optimizer(&self, cold: Celsius) -> Result<CoolingOptimizer<'a>, JobsError> {
-        let config = self.sim.config();
-        Ok(CoolingOptimizer::new(
-            self.sim.lookup_space(),
-            config.module,
-            config.pump,
-            config.t_safe,
-            config.tolerance,
-            cold,
-        )?)
-    }
-
     /// Mirrors one thermal step of the simulation engine over the
-    /// committed column: per circulation, schedule, optimize the
-    /// cooling setting, and refresh every server's observable state.
-    /// Returns the number of scheduled loads exceeding the safety cap.
-    #[allow(clippy::too_many_arguments)]
+    /// committed column: per circulation, schedule, take the
+    /// simulator's cooling decision, and refresh every server's
+    /// observable state. Returns the number of scheduled loads
+    /// exceeding the safety cap.
     fn thermal_pass(
         &self,
         column: &[Utilization],
         circ_size: usize,
-        optimizer: &CoolingOptimizer<'_>,
         cold: Celsius,
         throttle: &ThrottleController,
-        settings: &mut HashMap<(u64, u64), OptimizedSetting>,
         safe_caps: &mut HashMap<(u64, u64), Utilization>,
         states: &mut [ServerState],
     ) -> Result<usize, JobsError> {
-        let cold_bits = cold.value().to_bits();
         let space = self.sim.lookup_space();
         let module = self.sim.config().module;
         let mut violations = 0usize;
         for (circ, chunk) in column.chunks(circ_size).enumerate() {
             let u_ctrl = self.sched.control_utilization(chunk);
-            let setting = match settings.entry((cold_bits, u_ctrl.value().to_bits())) {
-                Entry::Occupied(entry) => *entry.get(),
-                Entry::Vacant(entry) => *entry.insert(optimizer.optimize(u_ctrl).ok_or(
-                    JobsError::NoFeasibleSetting {
-                        control_utilization: u_ctrl.value(),
-                    },
-                )?),
-            };
+            let setting = self.sim.cooling_setting(u_ctrl, cold)?;
             let flow = setting.setting.flow;
             let inlet = setting.setting.inlet;
             let cap_key = (flow.value().to_bits(), inlet.value().to_bits());

@@ -92,18 +92,13 @@ pub enum JobsError {
     },
     /// The placement engine needs at least one server and one step.
     EmptyCluster,
-    /// The cooling optimizer could not serve a control utilization
-    /// (cannot happen on the paper grid).
-    NoFeasibleSetting {
-        /// The control utilization that could not be served.
-        control_utilization: f64,
-    },
+    /// The simulator's cooling decision failed: no feasible setting
+    /// (cannot happen on the paper grid) or an optimizer the
+    /// configuration cannot build.
+    Engine(h2p_core::H2pError),
     /// A lookup-space evaluation failed while mirroring the engine's
     /// thermal step.
     Thermal(h2p_server::ServerError),
-    /// The cooling optimizer could not be constructed for a cold-side
-    /// temperature.
-    Cooling(h2p_cooling::CoolingError),
     /// Trace assembly from the synthesized columns failed.
     Trace(h2p_workload::WorkloadError),
 }
@@ -117,14 +112,8 @@ impl fmt::Display for JobsError {
             JobsError::EmptyCluster => {
                 write!(f, "placement needs at least one server and one step")
             }
-            JobsError::NoFeasibleSetting {
-                control_utilization,
-            } => write!(
-                f,
-                "no feasible cooling setting at control utilization {control_utilization}"
-            ),
+            JobsError::Engine(e) => write!(f, "cooling decision failed: {e}"),
             JobsError::Thermal(e) => write!(f, "thermal evaluation failed: {e}"),
-            JobsError::Cooling(e) => write!(f, "cooling optimizer construction failed: {e}"),
             JobsError::Trace(e) => write!(f, "synthesized trace invalid: {e}"),
         }
     }
@@ -133,8 +122,8 @@ impl fmt::Display for JobsError {
 impl std::error::Error for JobsError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
+            JobsError::Engine(e) => Some(e),
             JobsError::Thermal(e) => Some(e),
-            JobsError::Cooling(e) => Some(e),
             JobsError::Trace(e) => Some(e),
             _ => None,
         }
@@ -147,9 +136,9 @@ impl From<h2p_server::ServerError> for JobsError {
     }
 }
 
-impl From<h2p_cooling::CoolingError> for JobsError {
-    fn from(e: h2p_cooling::CoolingError) -> Self {
-        JobsError::Cooling(e)
+impl From<h2p_core::H2pError> for JobsError {
+    fn from(e: h2p_core::H2pError) -> Self {
+        JobsError::Engine(e)
     }
 }
 

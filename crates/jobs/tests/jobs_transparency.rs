@@ -4,7 +4,9 @@
 //! — dense and kernel-exact, scalar and column layouts, every worker
 //! count — and the load-oblivious `RoundRobin` baseline over jobs that
 //! reproduce a constant-demand trace must match running that trace
-//! directly, to the bit.
+//! directly, to the bit. Placement decides cooling through the
+//! simulator's own cached decision path, so a placement is equally
+//! blind to how warm that cache is.
 
 // Test/bench code opts back into panicking unwraps (see [workspace.lints]).
 #![allow(
@@ -17,9 +19,12 @@
 use h2p_core::fleet::EngineLayout;
 use h2p_core::kernel::KernelTolerance;
 use h2p_core::simulation::{SimulationConfig, SimulationResult, Simulator};
-use h2p_jobs::{synthetic_jobs, PlacementEngine, PlacementPolicyKind, RoundRobin};
+use h2p_jobs::{
+    synthetic_jobs, HarvestAware, PlacementEngine, PlacementPolicyKind, PlacementRun, RoundRobin,
+};
 use h2p_sched::Original;
 use h2p_server::ServerModel;
+use h2p_telemetry::Registry;
 use h2p_units::{Seconds, Utilization};
 use h2p_workload::{ClusterTrace, Trace, TraceKind};
 use std::num::NonZeroUsize;
@@ -29,17 +34,21 @@ const WORKERS: [usize; 3] = [1, 2, 5];
 const SERVERS: usize = 20;
 const STEPS: usize = 12;
 
-/// Base simulator: 8-server circulations so 20 servers make two full
-/// circulations plus a ragged 4-server tail (the shape most likely to
-/// expose chunk misalignment), shared via `OnceLock` because fitting
-/// the lookup space is the expensive part.
+/// A simulator with 8-server circulations, so 20 servers make two
+/// full circulations plus a ragged 4-server tail (the shape most likely
+/// to expose chunk misalignment), and a cold setting cache (a clone
+/// would keep the warm memo).
+fn fresh_sim() -> Simulator {
+    let mut config = SimulationConfig::paper_default();
+    config.servers_per_circulation = 8;
+    Simulator::new(&ServerModel::paper_default(), config).unwrap()
+}
+
+/// The shared base simulator, built once because fitting the lookup
+/// space is the expensive part.
 fn base_sim() -> &'static Simulator {
     static SIM: OnceLock<Simulator> = OnceLock::new();
-    SIM.get_or_init(|| {
-        let mut config = SimulationConfig::paper_default();
-        config.servers_per_circulation = 8;
-        Simulator::new(&ServerModel::paper_default(), config).unwrap()
-    })
+    SIM.get_or_init(fresh_sim)
 }
 
 fn nz(n: usize) -> NonZeroUsize {
@@ -50,6 +59,17 @@ fn assert_bit_identical(a: &SimulationResult, b: &SimulationResult, what: &str) 
     assert_eq!(a.steps().len(), b.steps().len(), "{what}: step count");
     for (i, (x, y)) in a.steps().iter().zip(b.steps()).enumerate() {
         assert_eq!(x, y, "{what}: step {i} diverged");
+    }
+}
+
+fn assert_same_placement(a: &PlacementRun, b: &PlacementRun, what: &str) {
+    assert_eq!(a.outcome, b.outcome, "{what}: outcome");
+    assert_eq!(a.trace.steps(), b.trace.steps(), "{what}: step count");
+    for step in 0..a.trace.steps() {
+        let (x, y) = (a.trace.utilizations_at(step), b.trace.utilizations_at(step));
+        let bits =
+            |col: &[Utilization]| col.iter().map(|u| u.value().to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&x), bits(&y), "{what}: column {step}");
     }
 }
 
@@ -217,4 +237,82 @@ fn delayed_placement_records_queue_wait() {
     assert_eq!(run.outcome.placed, 2);
     assert_eq!(run.outcome.rejected, 0);
     assert_eq!(run.outcome.max_queue_wait_steps, 2);
+}
+
+#[test]
+fn placement_shares_the_simulators_cache_transparently() {
+    let jobs = synthetic_jobs(
+        TraceKind::Irregular,
+        5,
+        SERVERS,
+        STEPS,
+        PlacementEngine::new(base_sim(), &Original, SERVERS, STEPS)
+            .unwrap()
+            .interval(),
+    );
+    let place = |sim: &Simulator| {
+        PlacementEngine::new(sim, &Original, SERVERS, STEPS)
+            .unwrap()
+            .place(&jobs, &mut HarvestAware::new())
+            .unwrap()
+    };
+
+    // A placement alone on a fresh simulator fills its cache, and every
+    // optimizer decision it takes is one of those misses.
+    let registry = Registry::new();
+    let fresh = fresh_sim().with_telemetry(&registry);
+    let cold_run = place(&fresh);
+    assert!(
+        fresh.cache_stats().misses > 0,
+        "placement must use the cache"
+    );
+    let counters: std::collections::BTreeMap<String, u64> =
+        registry.counters().into_iter().collect();
+    assert_eq!(counters["optimizer.decisions"], counters["cache.misses"]);
+
+    // Warm a second simulator with an engine run and a prior placement:
+    // the same placement, and the engine run over it, keep every bit.
+    let warm = fresh_sim();
+    let other = synthetic_jobs(
+        TraceKind::Drastic,
+        3,
+        SERVERS,
+        STEPS,
+        cold_run.trace.interval(),
+    );
+    let prior = PlacementEngine::new(&warm, &Original, SERVERS, STEPS)
+        .unwrap()
+        .place(&other, &mut HarvestAware::new())
+        .unwrap();
+    warm.run(&prior.trace, &Original).unwrap();
+    warm.run(&cold_run.trace, &Original).unwrap();
+    let hits = warm.cache_stats().hits;
+    let warm_run = place(&warm);
+    assert!(warm.cache_stats().hits > hits, "the warm cache must answer");
+    assert_same_placement(&cold_run, &warm_run, "fresh vs warm cache");
+
+    let on_warm = warm.run(&warm_run.trace, &Original).unwrap();
+    let on_fresh = fresh_sim().run(&warm_run.trace, &Original).unwrap();
+    assert_bit_identical(&on_fresh, &on_warm, "engine run after placement");
+}
+
+#[test]
+fn a_job_outliving_any_horizon_serves_until_the_horizon() {
+    // Any finite positive duration is a valid job; a huge one must not
+    // overflow the end-step arithmetic (a panic in debug builds, an
+    // early release after wrapping in release builds).
+    let sim = base_sim();
+    let engine = PlacementEngine::new(sim, &Original, 40, 6).unwrap();
+    let jobs = vec![h2p_jobs::Job::new(
+        0,
+        Seconds::new(400.0),
+        Seconds::new(1e300),
+        Utilization::saturating(0.5),
+    )
+    .unwrap()];
+    let run = engine.place(&jobs, &mut RoundRobin::new()).unwrap();
+    assert_eq!(run.outcome.placed, 1);
+    assert_eq!(run.outcome.rejected, 0);
+    // Arrives in step 1 of 6, then runs to the horizon: 5 × 0.5.
+    assert_eq!(run.outcome.served_demand_steps, 2.5);
 }
