@@ -12,6 +12,15 @@
 //! | **P** | plus the pump derate/outage (clamped flow, throttle) | `teg_P` |
 //! | **F** | plus TEG open-circuit failures (the actual output)   | `teg_F` |
 //!
+//! Layer H is `Simulator::simulate_circulation`, the plan-free code
+//! itself. Layers S, P and F are runs of the engine's one scalar pass
+//! (`Simulator::scalar_pass`) under a setting, a throttle cap and a
+//! per-server harvest derate: S runs layer S's setting uncapped, P the
+//! pump-derated flow capped to its safe utilization, and F is P's pass
+//! with each server's harvest derated by its TEG failures (`teg_P` is
+//! that pass's un-derated harvest). With no pump fault live, P is S's
+//! setting uncapped, so one pass yields S, P and F.
+//!
 //! The per-class deltas `H−S` (sensor), `S−P` (pump) and `P−F` (TEG)
 //! telescope to `H−F`, so the [`FaultLedger`]'s per-class attribution
 //! reconciles with the total healthy-vs-faulted harvest delta to
@@ -37,8 +46,9 @@
 //!   temperatures from, so an admitted load can never register as a
 //!   phantom violation.
 //! * **TEG faults** derate each failed server's harvest through the
-//!   plan's [`ModuleReliability`] wiring topology (series → zero,
-//!   bypass → proportional). Electrical only; no thermal feedback.
+//!   plan's [`ModuleReliability`](h2p_teg::reliability::ModuleReliability)
+//!   wiring topology (series → zero, bypass → proportional). Electrical
+//!   only; no thermal feedback.
 //! * If even the degraded evaluation fails, the circulation is
 //!   **isolated offline** for that step (zero contribution) and the
 //!   whole healthy harvest is attributed to the leading active fault
@@ -55,13 +65,16 @@
 //! `Simulator::simulate_circulation`).
 
 use crate::driver::{At, Overlay, Source};
-use crate::simulation::{CircPartial, SimulationResult, Simulator, StepFold, StepRecord};
+use crate::simulation::{
+    CircPartial, ScalarPass, SimulationResult, Simulator, StepFold, StepRecord,
+};
 use crate::H2pError;
 use h2p_faults::{
-    ActiveFaults, CompiledFaults, FaultLedger, FaultPlan, StepAttribution, StepPowers,
+    ActiveFaults, CompiledFaults, FaultClass, FaultLedger, FaultPlan, StepAttribution, StepPowers,
 };
 use h2p_sched::SchedulingPolicy;
-use h2p_server::ThrottleController;
+use h2p_server::{CoolingSetting, ThrottleController};
+use h2p_teg::reliability::ModuleReliability;
 use h2p_units::{Celsius, LitersPerHour, Utilization, Watts};
 use h2p_workload::ClusterTrace;
 
@@ -83,10 +96,9 @@ struct FaultedPartial {
     faulted: CircPartial,
     /// The counterfactual healthy world — feeds the ledger.
     healthy: CircPartial,
-    /// Telescoping per-class harvest deltas, watts.
-    attr_sensor: f64,
-    attr_pump: f64,
-    attr_teg: f64,
+    /// Telescoping per-class harvest deltas in [`FaultClass::ALL`]
+    /// order — `[H−S, S−P, P−F]` — watts.
+    attr: [f64; 3],
     /// Server-steps throttled by the pump-fault path.
     throttled: u64,
     /// Whether the clamped fallback setting was forced.
@@ -102,13 +114,25 @@ impl FaultedPartial {
         FaultedPartial {
             faulted: partial,
             healthy: partial,
-            attr_sensor: 0.0,
-            attr_pump: 0.0,
-            attr_teg: 0.0,
+            attr: [0.0; 3],
             throttled: 0,
             fallback: false,
             offline: false,
             faulted_active: false,
+        }
+    }
+
+    /// A faulted circulation isolated offline: zero load, zero harvest,
+    /// zero flow, with the whole healthy harvest attributed to `lead`.
+    fn offline(healthy: CircPartial, lead: FaultClass, fallback: bool) -> Self {
+        FaultedPartial {
+            faulted: CircPartial::offline(),
+            healthy,
+            attr: FaultClass::ALL.map(|class| if class == lead { healthy.teg } else { 0.0 }),
+            throttled: 0,
+            fallback,
+            offline: true,
+            faulted_active: true,
         }
     }
 }
@@ -119,9 +143,7 @@ impl FaultedPartial {
 struct FaultFold {
     faulted: StepFold,
     healthy: StepFold,
-    attr_sensor: f64,
-    attr_pump: f64,
-    attr_teg: f64,
+    attr: [f64; 3],
     throttled: u64,
     fallback: u64,
     offline: u64,
@@ -151,7 +173,7 @@ impl Overlay for FaultOverlay {
         chunk: &[Utilization],
         policy: &dyn SchedulingPolicy,
     ) -> Result<FaultedPartial, H2pError> {
-        sim.simulate_circulation_faulted(self, at, chunk, policy)
+        sim.simulate_circulation_faulted(&self.compiled, at, chunk, policy)
     }
 
     /// A held decision is always fault-free: it replays through the
@@ -167,23 +189,14 @@ impl Overlay for FaultOverlay {
     fn add(fold: &mut FaultFold, p: &FaultedPartial) {
         fold.faulted.add(p.faulted);
         fold.healthy.add(p.healthy);
-        fold.attr_sensor += p.attr_sensor;
-        fold.attr_pump += p.attr_pump;
-        fold.attr_teg += p.attr_teg;
+        for (sum, delta) in fold.attr.iter_mut().zip(p.attr) {
+            *sum += delta;
+        }
         fold.throttled += p.throttled;
         fold.fallback += u64::from(p.fallback);
         fold.offline += u64::from(p.offline);
         fold.faulted_active += u64::from(p.faulted_active);
     }
-}
-
-/// The cooling setting one degraded layer runs under.
-#[derive(Clone, Copy)]
-struct LayerSetting {
-    flow: LitersPerHour,
-    inlet: Celsius,
-    /// Per-server pump power share at this flow.
-    pump_per_server: f64,
 }
 
 impl Simulator {
@@ -240,20 +253,11 @@ impl Simulator {
             let healthy_rec = self.finish_step(time, servers, &fold.healthy);
             ledger.record_step(totals(&healthy_rec), totals(&faulted_rec));
             ledger.note_throttled(fold.throttled);
-            for _ in 0..fold.fallback {
-                ledger.note_fallback();
-            }
-            for _ in 0..fold.offline {
-                ledger.note_offline();
-            }
-            for _ in 0..fold.faulted_active {
-                ledger.note_faulted_circulation();
-            }
-            let mut attr = StepAttribution::zero();
-            attr.sensor = Watts::new(fold.attr_sensor);
-            attr.pump = Watts::new(fold.attr_pump);
-            attr.teg = Watts::new(fold.attr_teg);
-            ledger.record_attribution(attr);
+            ledger.note_fallback(fold.fallback);
+            ledger.note_offline(fold.offline);
+            ledger.note_faulted_circulation(fold.faulted_active);
+            let [sensor, pump, teg] = fold.attr.map(Watts::new);
+            ledger.record_attribution(StepAttribution { sensor, pump, teg });
             steps.push(faulted_rec);
         }
 
@@ -265,8 +269,9 @@ impl Simulator {
 
     /// The clamped fallback setting for implausible sensor readings:
     /// maximum flow at the coolest grid inlet — the most conservative
-    /// corner of the paper grid, safe for any load.
-    fn fallback_setting(&self) -> LayerSetting {
+    /// corner of the paper grid, safe for any load — and its per-server
+    /// pump power.
+    fn fallback_setting(&self) -> (CoolingSetting, Watts) {
         let flow = self
             .space
             .flow_axis()
@@ -280,17 +285,12 @@ impl Simulator {
             .copied()
             .unwrap_or(Celsius::new(20.0).value());
         let flow = LitersPerHour::new(flow);
-        let pump_per_server = self
-            .config
-            .pump
-            .power(flow)
-            .map(Watts::value)
-            .unwrap_or(0.0);
-        LayerSetting {
+        let pump = self.config.pump.power(flow).unwrap_or(Watts::zero());
+        let setting = CoolingSetting {
             flow,
             inlet: Celsius::new(inlet),
-            pump_per_server,
-        }
+        };
+        (setting, pump)
     }
 
     /// One circulation-step under faults: healthy layer first (the
@@ -298,205 +298,123 @@ impl Simulator {
     /// like `simulate_circulation`.
     fn simulate_circulation_faulted(
         &self,
-        overlay: &FaultOverlay,
+        compiled: &CompiledFaults,
         at: At,
         chunk: &[Utilization],
         policy: &dyn SchedulingPolicy,
     ) -> Result<FaultedPartial, H2pError> {
         let At { circ, step, cold } = at;
-        let compiled = &overlay.compiled;
         // Layer H — exactly the plan-free computation (shared code, so
         // a zero-fault plan is bit-identical by construction).
         let healthy = self.simulate_circulation(chunk, policy, cold)?;
         let Some(active) = compiled.active_at(circ, step) else {
             return Ok(FaultedPartial::healthy_passthrough(healthy));
         };
-
         if active.cdu_out {
             // CDU outage: the circulation is isolated offline for the
-            // whole window — zero load, zero harvest, zero flow. The
-            // entire healthy harvest is attributed to the pump class
+            // whole window. The healthy harvest goes to the pump class
             // (the CDU's pump/exchanger subsystem is what failed).
-            return Ok(FaultedPartial {
-                faulted: CircPartial::offline(),
-                healthy,
-                attr_sensor: 0.0,
-                attr_pump: healthy.teg,
-                attr_teg: 0.0,
-                throttled: 0,
-                fallback: false,
-                offline: true,
-                faulted_active: true,
-            });
+            return Ok(FaultedPartial::offline(healthy, FaultClass::Pump, false));
         }
 
         let scheduled = policy.schedule(chunk);
         let u_ctrl = policy.control_utilization(chunk);
 
-        // Layer S — the setting the controller actually picks, seeing
+        // Layer S's setting — what the controller actually picks, seeing
         // the (possibly corrupted) cold reading.
-        let mut fallback = false;
-        let setting_s: LayerSetting = if let Some(sensor) = active.sensor {
-            let sensed = sensor.corrupt(cold);
-            let served = compiled
-                .is_plausible(sensed)
-                .then(|| self.cooling_setting(u_ctrl, sensed).ok())
-                .flatten();
-            match served {
-                Some(chosen) => LayerSetting {
-                    flow: chosen.setting.flow,
-                    inlet: chosen.setting.inlet,
-                    pump_per_server: chosen.pump_power.value(),
-                },
-                None => {
-                    fallback = true;
-                    self.fallback_setting()
-                }
-            }
-        } else {
-            let chosen = self.cooling_setting(u_ctrl, cold)?;
-            LayerSetting {
-                flow: chosen.setting.flow,
-                inlet: chosen.setting.inlet,
-                pump_per_server: chosen.pump_power.value(),
-            }
+        let served = match active.sensor {
+            Some(sensor) => Some(sensor.corrupt(cold))
+                .filter(|&sensed| compiled.is_plausible(sensed))
+                .and_then(|sensed| self.cooling_setting(u_ctrl, sensed).ok()),
+            None => Some(self.cooling_setting(u_ctrl, cold)?),
         };
+        let fallback = served.is_none();
+        let (setting, pump) = served.map_or_else(
+            || self.fallback_setting(),
+            |chosen| (chosen.setting, chosen.pump_power),
+        );
 
-        match self.degraded_layers(&scheduled, setting_s, &active, cold, compiled) {
-            Ok(mut degraded) => {
-                degraded.healthy = healthy;
-                degraded.attr_sensor = healthy.teg - degraded.attr_sensor;
-                degraded.fallback = fallback;
-                Ok(degraded)
-            }
+        let wiring = compiled.module_wiring();
+        match self.degraded_layers(&scheduled, setting, pump, &active, cold, wiring) {
+            Ok((f, teg_s)) => Ok(FaultedPartial {
+                faulted: f.partial,
+                healthy,
+                attr: [
+                    healthy.teg - teg_s,
+                    teg_s - f.harvest,
+                    f.harvest - f.partial.teg,
+                ],
+                throttled: f.throttled,
+                fallback,
+                offline: false,
+                faulted_active: true,
+            }),
+            // Isolation: the degraded path could not be evaluated. The
+            // circulation goes offline for this step; the whole healthy
+            // harvest is attributed to the leading fault.
             Err(_) => {
-                // Isolation: the degraded path could not be evaluated.
-                // The circulation goes offline for this step; the whole
-                // healthy harvest is attributed to the leading fault.
-                let mut attr = (0.0, 0.0, 0.0);
-                if active.sensor.is_some() {
-                    attr.0 = healthy.teg;
+                let lead = if active.sensor.is_some() {
+                    FaultClass::Sensor
                 } else if active.pump_out || active.pump_factor < 1.0 {
-                    attr.1 = healthy.teg;
+                    FaultClass::Pump
                 } else {
-                    attr.2 = healthy.teg;
-                }
-                Ok(FaultedPartial {
-                    faulted: CircPartial::offline(),
-                    healthy,
-                    attr_sensor: attr.0,
-                    attr_pump: attr.1,
-                    attr_teg: attr.2,
-                    throttled: 0,
-                    fallback,
-                    offline: true,
-                    faulted_active: true,
-                })
+                    FaultClass::Teg
+                };
+                Ok(FaultedPartial::offline(healthy, lead, fallback))
             }
         }
     }
 
-    /// Layers S, P and F for one circulation-step. Returns a partially
-    /// filled [`FaultedPartial`]: `attr_sensor` holds `teg_S` (the
-    /// caller turns it into `teg_H − teg_S`), and `healthy` is not yet
-    /// set.
+    /// Layers S, P and F under layer S's `setting` (and its per-server
+    /// `pump` power): returns layer F's pass, whose `harvest` is
+    /// `teg_P`, and `teg_S`.
     fn degraded_layers(
         &self,
         scheduled: &[Utilization],
-        setting_s: LayerSetting,
+        setting: CoolingSetting,
+        pump: Watts,
         active: &ActiveFaults,
         cold: Celsius,
-        compiled: &CompiledFaults,
-    ) -> Result<FaultedPartial, H2pError> {
-        // Layer S harvest: the corrupted setting, true physics.
-        let mut teg_s = 0.0;
-        for &u in scheduled {
-            let outlet = self
-                .space
-                .outlet_temperature(u, setting_s.flow, setting_s.inlet)?;
-            teg_s += self.config.module.max_power(outlet - cold).value();
-        }
-
-        // Layer P geometry: derated flow clamped onto the grid, pump
-        // power at the *achieved* flow (zero on outage).
-        let pump_active = active.pump_out || active.pump_factor < 1.0;
-        let (flow_p, pump_per_server) = if active.pump_out {
-            (self.grid_min_flow(), 0.0)
+        wiring: &ModuleReliability,
+    ) -> Result<(ScalarPass, f64), H2pError> {
+        let derate = |offset| active.teg_fraction(offset, wiring);
+        // Layer P's flow: the derate clamped onto the grid, the grid
+        // minimum on outage.
+        let flow = if active.pump_out {
+            self.grid_min_flow()
         } else if active.pump_factor < 1.0 {
-            let derated = LitersPerHour::new(
-                (setting_s.flow.value() * active.pump_factor).max(self.grid_min_flow().value()),
-            );
-            let per_server = self.config.pump.power(derated)?.value();
-            (derated, per_server)
+            LitersPerHour::new(
+                (setting.flow.value() * active.pump_factor).max(self.grid_min_flow().value()),
+            )
         } else {
-            (setting_s.flow, setting_s.pump_per_server)
+            // No pump fault: layer P is layer S's setting, uncapped (the
+            // optimizer's setting is safe by construction), so one pass
+            // yields `teg_S = teg_P` and layer F.
+            let f = self.scalar_pass(scheduled, setting, pump, cold, Utilization::FULL, derate)?;
+            return Ok((f, f.harvest));
         };
-
-        // Reduced flow can push dies past the envelope: re-derive the
-        // safe cap on the interpolated space and throttle to it. The
-        // healthy-flow path skips this — the optimizer's setting is
-        // safe by construction, and computing the cap would burn time
-        // without changing anything.
-        let cap = if pump_active {
-            ThrottleController::new(self.max_operating).max_safe_utilization_in_space(
-                &self.space,
-                flow_p,
-                setting_s.inlet,
-            )?
+        let teg_s = self
+            .scalar_pass(scheduled, setting, pump, cold, Utilization::FULL, |_| 1.0)?
+            .harvest;
+        // Pump power at the *achieved* flow (zero on outage). Reduced
+        // flow can push dies past the envelope: re-derive the safe cap
+        // on the interpolated space and throttle to it.
+        let pump = if active.pump_out {
+            Watts::zero()
         } else {
-            Utilization::FULL
+            self.config.pump.power(flow)?
         };
-
-        // Layers P and F in one pass over the servers.
-        let mut partial = CircPartial {
-            teg: 0.0,
-            cpu: 0.0,
-            pump: pump_per_server * scheduled.len() as f64,
-            flow: flow_p.value() * scheduled.len() as f64,
-            inlet_weighted: setting_s.inlet.value() * scheduled.len() as f64,
-            outlet: 0.0,
-            util: 0.0,
-            peak: Utilization::IDLE,
-            violations: 0,
-            online: scheduled.len(),
+        let cap = ThrottleController::new(self.max_operating).max_safe_utilization_in_space(
+            &self.space,
+            flow,
+            setting.inlet,
+        )?;
+        let setting = CoolingSetting {
+            flow,
+            inlet: setting.inlet,
         };
-        let mut teg_p = 0.0;
-        let mut throttled = 0u64;
-        let wiring = compiled.module_wiring();
-        for (offset, &u) in scheduled.iter().enumerate() {
-            let u_run = if u > cap {
-                throttled += 1;
-                cap
-            } else {
-                u
-            };
-            let outlet = self
-                .space
-                .outlet_temperature(u_run, flow_p, setting_s.inlet)?;
-            let die = self.space.cpu_temperature(u_run, flow_p, setting_s.inlet)?;
-            if die > self.max_operating {
-                partial.violations += 1;
-            }
-            let teg_i = self.config.module.max_power(outlet - cold).value();
-            teg_p += teg_i;
-            partial.teg += teg_i * active.teg_fraction(offset, wiring);
-            partial.cpu += self.power_model.base_power(u_run).value();
-            partial.outlet += outlet.value();
-            partial.util += u_run.value();
-            partial.peak = partial.peak.max(u_run);
-        }
-
-        Ok(FaultedPartial {
-            faulted: partial,
-            healthy: CircPartial::offline(), // overwritten by the caller
-            attr_sensor: teg_s,              // caller: teg_H − teg_S
-            attr_pump: teg_s - teg_p,
-            attr_teg: teg_p - partial.teg,
-            throttled,
-            fallback: false, // caller sets
-            offline: false,
-            faulted_active: true,
-        })
+        let f = self.scalar_pass(scheduled, setting, pump, cold, cap, derate)?;
+        Ok((f, teg_s))
     }
 
     fn grid_min_flow(&self) -> LitersPerHour {
@@ -513,7 +431,7 @@ impl Simulator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use h2p_faults::{FaultClass, FaultEvent, FaultKind};
+    use h2p_faults::{FaultEvent, FaultKind};
     use h2p_sched::LoadBalance;
     use h2p_units::DegC;
     use h2p_workload::{TraceGenerator, TraceKind};
@@ -556,46 +474,6 @@ mod tests {
             faulted.ledger.healthy_harvest(),
             faulted.ledger.faulted_harvest()
         );
-    }
-
-    #[test]
-    fn lane_forcing_rule_covers_every_fault_event() {
-        // A kernel lane forces a fresh evaluation when a fault is live
-        // or was live one step earlier. That is exactly the plan's
-        // evaluation-event set plus its live steps.
-        let plan = FaultPlan::from_events(
-            vec![
-                FaultEvent::permanent(
-                    FaultKind::TegOpenCircuit {
-                        server: 3,
-                        failed_devices: 4,
-                    },
-                    2,
-                ),
-                FaultEvent::windowed(FaultKind::PumpOutage { circulation: 1 }, 3, 9),
-                FaultEvent::windowed(
-                    FaultKind::SensorNoise {
-                        circulation: 0,
-                        sigma: DegC::new(2.0),
-                    },
-                    5,
-                    7,
-                ),
-                FaultEvent::windowed(FaultKind::CduOutage { circulation: 2 }, 6, 8),
-            ],
-            5,
-        )
-        .unwrap();
-        let compiled = plan.compile(90, 40, 12);
-        let events = compiled.evaluation_events();
-        let live = |circ: usize, step: usize| compiled.active_at(circ, step).is_some();
-        for step in 0..12 {
-            for circ in 0..3 {
-                let lane = live(circ, step) || (step > 0 && live(circ, step - 1));
-                let queued = events.get(&step).is_some_and(|c| c.contains(&circ));
-                assert_eq!(lane, queued || live(circ, step), "circ {circ} step {step}");
-            }
-        }
     }
 
     #[test]

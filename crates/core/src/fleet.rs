@@ -23,9 +23,10 @@ pub use h2p_exec::{ChunkPlan, ChunkSpec, PlanError};
 /// Which inner-loop layout the simulation engine runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EngineLayout {
-    /// The retained per-server scalar reference path (the bit-identity
-    /// oracle for the column engine, exactly as dense runs are the
-    /// oracle for the kernel and plan-free runs for zero-fault plans).
+    /// The engine's one per-server scalar pass, which the fault layers
+    /// also run (the bit-identity oracle for the column engine, exactly
+    /// as dense runs are the oracle for the kernel and plan-free runs
+    /// for zero-fault plans).
     Scalar,
     /// The column-major hot path (the default).
     #[default]

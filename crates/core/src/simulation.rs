@@ -55,7 +55,7 @@ use h2p_cooling::{
 use h2p_exec::{ChunkPlan, PoolTelemetry};
 use h2p_hydraulics::{ColdSource, Pump};
 use h2p_sched::SchedulingPolicy;
-use h2p_server::{CpuPowerModel, LookupSpace, ServerModel};
+use h2p_server::{CoolingSetting, CpuPowerModel, LookupSpace, ServerModel};
 use h2p_teg::TegModule;
 use h2p_telemetry::{BucketSpec, Counter, Histogram, Registry};
 use h2p_units::{Celsius, DegC, Joules, Seconds, Utilization, Watts};
@@ -599,6 +599,17 @@ impl CircPartial {
     }
 }
 
+/// One [`Simulator::scalar_pass`] over a circulation's servers.
+#[derive(Clone, Copy)]
+pub(crate) struct ScalarPass {
+    /// The circulation's partial; its `teg` is the derated harvest.
+    pub(crate) partial: CircPartial,
+    /// The un-derated harvest, summed in server order.
+    pub(crate) harvest: f64,
+    /// Servers whose load the cap throttled.
+    pub(crate) throttled: u64,
+}
+
 /// Running reduction of one control interval's [`CircPartial`]s. Each
 /// field is one f64 accumulator whose additions happen in
 /// circulation-index order whatever the source's chunking, so `run`,
@@ -970,9 +981,10 @@ impl Simulator {
         }
     }
 
-    /// The retained per-server scalar reference path — kept verbatim as
-    /// the bit-identity oracle for the column engine, exactly as the
-    /// runs without a kernel are the oracle for the kernel.
+    /// The Scalar layout: schedule, pick the cooling setting, and run
+    /// the [scalar pass](Self::scalar_pass) uncapped and un-derated.
+    /// Kept as the bit-identity oracle for the column engine, exactly as
+    /// the runs without a kernel are the oracle for the kernel.
     pub(crate) fn simulate_circulation_scalar(
         &self,
         chunk: &[Utilization],
@@ -982,35 +994,74 @@ impl Simulator {
         let scheduled = policy.schedule(chunk);
         let u_ctrl = policy.control_utilization(chunk);
         let chosen = self.cooling_setting(u_ctrl, cold)?;
+        let pass = self.scalar_pass(
+            &scheduled,
+            chosen.setting,
+            chosen.pump_power,
+            cold,
+            Utilization::FULL,
+            |_| 1.0,
+        )?;
+        Ok(pass.partial)
+    }
+
+    /// The one scalar per-server pass: every server of a circulation,
+    /// in server order, under `setting` with `pump` per server, its load
+    /// throttled to `cap`, and its Eq. 6 harvest scaled by
+    /// `derate(server offset)`. The Scalar layout runs it with no cap
+    /// and no derate (`u > FULL` never holds and `x * 1.0 == x`, so both
+    /// are exact identities); the fault layers S, P and F of
+    /// `run_with_faults` run it under their degraded settings.
+    pub(crate) fn scalar_pass(
+        &self,
+        scheduled: &[Utilization],
+        setting: CoolingSetting,
+        pump: Watts,
+        cold: Celsius,
+        cap: Utilization,
+        derate: impl Fn(usize) -> f64,
+    ) -> Result<ScalarPass, H2pError> {
+        let CoolingSetting { flow, inlet } = setting;
+        let n = scheduled.len();
         let mut partial = CircPartial {
             teg: 0.0,
             cpu: 0.0,
-            pump: chosen.pump_power.value() * scheduled.len() as f64,
-            flow: chosen.setting.flow.value() * scheduled.len() as f64,
-            inlet_weighted: chosen.setting.inlet.value() * scheduled.len() as f64,
+            pump: pump.value() * n as f64,
+            flow: flow.value() * n as f64,
+            inlet_weighted: inlet.value() * n as f64,
             outlet: 0.0,
             util: 0.0,
             peak: Utilization::IDLE,
             violations: 0,
-            online: scheduled.len(),
+            online: n,
         };
-        for &u in &scheduled {
-            let outlet =
-                self.space
-                    .outlet_temperature(u, chosen.setting.flow, chosen.setting.inlet)?;
-            let die = self
-                .space
-                .cpu_temperature(u, chosen.setting.flow, chosen.setting.inlet)?;
+        let mut harvest = 0.0;
+        let mut throttled = 0;
+        for (offset, &u) in scheduled.iter().enumerate() {
+            let u = if u > cap {
+                throttled += 1;
+                cap
+            } else {
+                u
+            };
+            let outlet = self.space.outlet_temperature(u, flow, inlet)?;
+            let die = self.space.cpu_temperature(u, flow, inlet)?;
             if die > self.max_operating {
                 partial.violations += 1;
             }
-            partial.teg += self.config.module.max_power(outlet - cold).value();
+            let teg = self.config.module.max_power(outlet - cold).value();
+            harvest += teg;
+            partial.teg += teg * derate(offset);
             partial.cpu += self.power_model.base_power(u).value();
             partial.outlet += outlet.value();
             partial.util += u.value();
             partial.peak = partial.peak.max(u);
         }
-        Ok(partial)
+        Ok(ScalarPass {
+            partial,
+            harvest,
+            throttled,
+        })
     }
 
     /// The column-major hot path: the same per-element physics as the

@@ -228,6 +228,56 @@ fn exact_change_points(sim: &Simulator, cluster: &ClusterTrace, circ_size: usize
     evaluations
 }
 
+/// The lanes' fault forcing, run rather than re-derived: on a constant
+/// trace every circulation would hold after step 0, so only forcing
+/// keeps a kernel honest under faults. The exact and the 0.01 kernels
+/// must reproduce the dense faulted run bit-for-bit (records and
+/// ledger), and `engine.kernel_forced` must count exactly the
+/// circulation-steps where a fault is live or recovering (live one step
+/// earlier), counted here from the compiled plan alone.
+#[test]
+fn kernel_forcing_on_faulted_runs_matches_live_or_recovering_steps() {
+    let (servers, steps) = (90, 12);
+    let cluster = cluster_from(&[0.35], servers, steps);
+    let plan = mixed_plan(42);
+    let sim = Simulator::paper_default().unwrap();
+    let circ_size = sim.config().servers_per_circulation;
+    let compiled = plan.compile(servers, circ_size, steps);
+    let live = |circ: usize, step: usize| compiled.active_at(circ, step).is_some();
+    let mut expected_forced = 0u64;
+    for circ in 0..servers.div_ceil(circ_size) {
+        for step in 0..steps {
+            if live(circ, step) || (step > 0 && live(circ, step - 1)) {
+                expected_forced += 1;
+            }
+        }
+    }
+    assert!(expected_forced > 0);
+
+    let dense = sim.run_with_faults(&cluster, &LoadBalance, &plan).unwrap();
+    for tolerance in [
+        KernelTolerance::exact(),
+        KernelTolerance::uniform(0.01).unwrap(),
+    ] {
+        let registry = Registry::new();
+        let kernel = sim
+            .clone()
+            .with_kernel_tolerance(tolerance)
+            .with_telemetry(&registry)
+            .run_with_faults(&cluster, &LoadBalance, &plan)
+            .unwrap();
+        let what = format!("{tolerance:?}");
+        assert_bit_identical(&dense.result, &kernel.result, &what);
+        assert_eq!(dense.ledger, kernel.ledger, "{what}");
+        assert_eq!(
+            counter(&registry, "engine.kernel_forced"),
+            expected_forced,
+            "{what}"
+        );
+        assert!(counter(&registry, "engine.circulations_held") > 0, "{what}");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 

@@ -15,8 +15,10 @@
 )]
 
 use h2p_cooling::{CoolingOptimizer, PlantLoad};
+use h2p_core::fleet::EngineLayout;
+use h2p_core::kernel::KernelTolerance;
 use h2p_core::simulation::{SimulationConfig, Simulator};
-use h2p_faults::{FaultEvent, FaultKind, FaultPlan, HazardRates};
+use h2p_faults::{FaultClass, FaultEvent, FaultKind, FaultPlan, HazardRates};
 use h2p_sched::{LoadBalance, Original, SchedulingPolicy};
 use h2p_server::ServerModel;
 use h2p_units::{Celsius, DegC, LitersPerHour, Seconds, Utilization, Watts};
@@ -244,6 +246,107 @@ fn paper_scale_faulted_run_is_deterministic_and_reconciles() {
         (delta - ledger_delta).abs() / scale < 1e-9,
         "ledger delta {ledger_delta} vs independent {delta}"
     );
+}
+
+/// FNV-1a over raw 64-bit words.
+struct Fnv(u64);
+
+impl Fnv {
+    fn eat(&mut self, bits: u64) {
+        for b in bits.to_le_bytes() {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+}
+
+/// Faulted-run bits, pinned: every `StepRecord` field and every
+/// `FaultLedger` accessor of 108 runs (3 trace kinds × {no plan, the
+/// mixed plan, a hazard-sampled plan} × both layouts × {dense, exact,
+/// 0.02 kernel} × both policies) hash to a digest recorded before the
+/// fault layers were rerouted through the scalar pass. Any change to a
+/// faulted run's bits changes the digest.
+#[test]
+fn faulted_run_bits_match_the_recorded_digest() {
+    const RECORDED: u64 = 0x5da6_7e6e_c646_e13d;
+    let base = Simulator::paper_default().unwrap().with_workers(nz(2));
+    // Sampled on an hourly step so 12 steps see all three fault classes
+    // (at the trace's 5-minute step the demo hazards rarely fire).
+    let hazard = FaultPlan::from_hazards(
+        &HazardRates::accelerated_demo(),
+        7,
+        90,
+        base.config().servers_per_circulation,
+        12,
+        Seconds::new(3600.0),
+    )
+    .unwrap();
+    assert_eq!(
+        hazard.events().len(),
+        5,
+        "the hazard-sampled plan must fault"
+    );
+    let plans = [FaultPlan::none(), mixed_plan(42), hazard];
+    let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+    for kind in TraceKind::all() {
+        let cluster = ragged_cluster(kind);
+        for plan in &plans {
+            for layout in [EngineLayout::Scalar, EngineLayout::Columns] {
+                for mode in [None, Some(0.0), Some(0.02)] {
+                    let sim = match mode {
+                        None => base.clone(),
+                        Some(t) => base
+                            .clone()
+                            .with_kernel_tolerance(KernelTolerance::uniform(t).unwrap()),
+                    }
+                    .with_layout(layout);
+                    for policy in [&Original as &dyn SchedulingPolicy, &LoadBalance] {
+                        let run = sim.run_with_faults(&cluster, policy, plan).unwrap();
+                        for s in run.result.steps() {
+                            h.eat(s.time.value().to_bits());
+                            h.eat(s.teg_power_per_server.value().to_bits());
+                            h.eat(s.cpu_power_per_server.value().to_bits());
+                            h.eat(s.pump_power_per_server.value().to_bits());
+                            h.eat(s.cooling_power_per_server.value().to_bits());
+                            h.eat(s.mean_inlet.value().to_bits());
+                            h.eat(s.mean_outlet.value().to_bits());
+                            h.eat(s.mean_utilization.value().to_bits());
+                            h.eat(s.peak_utilization.value().to_bits());
+                            h.eat(s.thermal_violations as u64);
+                        }
+                        let l = &run.ledger;
+                        for joules in [
+                            l.healthy_harvest(),
+                            l.faulted_harvest(),
+                            l.harvest_delta(),
+                            l.class_harvest_delta(FaultClass::Sensor),
+                            l.class_harvest_delta(FaultClass::Pump),
+                            l.class_harvest_delta(FaultClass::Teg),
+                            l.attributed_harvest_delta(),
+                        ] {
+                            h.eat(joules.value().to_bits());
+                        }
+                        for ratio in [
+                            l.reconciliation_error(),
+                            l.healthy_pue(),
+                            l.faulted_pue(),
+                            l.healthy_ere(),
+                            l.faulted_ere(),
+                            l.pue_delta(),
+                            l.ere_delta(),
+                        ] {
+                            h.eat(ratio.to_bits());
+                        }
+                        h.eat(l.throttled_server_steps());
+                        h.eat(l.fallback_steps());
+                        h.eat(l.faulted_circulation_steps());
+                        h.eat(l.offline_circulation_steps());
+                    }
+                }
+            }
+        }
+    }
+    assert_eq!(h.0, RECORDED, "faulted-run digest {:016x}", h.0);
 }
 
 /// A simulator with 7-server circulations shared across proptest cases

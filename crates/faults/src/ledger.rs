@@ -180,22 +180,21 @@ impl FaultLedger {
         self.throttled_server_steps += n;
     }
 
-    /// Counts one circulation-step where an implausible sensor reading
+    /// Counts `n` circulation-steps where an implausible sensor reading
     /// forced the clamped fallback cooling setting.
-    pub fn note_fallback(&mut self) {
-        self.fallback_steps += 1;
+    pub fn note_fallback(&mut self, n: u64) {
+        self.fallback_steps += n;
     }
 
-    /// Counts one circulation-step evaluated under any active fault.
-    pub fn note_faulted_circulation(&mut self) {
-        self.faulted_circulation_steps += 1;
+    /// Counts `n` circulation-steps evaluated under any active fault.
+    pub fn note_faulted_circulation(&mut self, n: u64) {
+        self.faulted_circulation_steps += n;
     }
 
-    /// Counts one circulation-step isolated offline (evaluation failed
-    /// even on the degraded path; the circulation contributes zeros
-    /// instead of aborting the run).
-    pub fn note_offline(&mut self) {
-        self.offline_circulation_steps += 1;
+    /// Counts `n` circulation-steps isolated offline (the circulation
+    /// contributes zeros instead of aborting the run).
+    pub fn note_offline(&mut self, n: u64) {
+        self.offline_circulation_steps += n;
     }
 
     /// Harvested energy had no fault fired.
@@ -399,10 +398,10 @@ mod tests {
         let mut ledger = FaultLedger::new(Seconds::new(300.0));
         ledger.note_throttled(3);
         ledger.note_throttled(2);
-        ledger.note_fallback();
-        ledger.note_faulted_circulation();
-        ledger.note_faulted_circulation();
-        ledger.note_offline();
+        ledger.note_fallback(1);
+        ledger.note_faulted_circulation(1);
+        ledger.note_faulted_circulation(1);
+        ledger.note_offline(1);
         assert_eq!(ledger.throttled_server_steps(), 5);
         assert_eq!(ledger.fallback_steps(), 1);
         assert_eq!(ledger.faulted_circulation_steps(), 2);

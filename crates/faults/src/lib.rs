@@ -12,10 +12,11 @@
 //!   ([`h2p_teg::reliability::exponential_failure_time`] — no second
 //!   copy of the hazard formulas lives here);
 //! * [`CompiledFaults`] — the plan bound to one run's geometry
-//!   (servers, circulation size, steps): per-circulation fault tracks
-//!   the engine queries each control interval. Every query is a pure
-//!   function of `(plan, circulation, step)`, so sequential and
-//!   parallel runs see identical faults;
+//!   (servers, circulation size, steps): each circulation's fault
+//!   windows in plan order, which the engine queries each control
+//!   interval. Every query is a pure function of
+//!   `(plan, circulation, step)`, so sequential and parallel runs see
+//!   identical faults;
 //! * [`FaultLedger`] — the run-level degradation account: healthy-vs-
 //!   faulted energy totals, per-class harvest attribution
 //!   ([`FaultClass`]), and the PUE/ERE deltas the fault stream caused.

@@ -467,96 +467,34 @@ impl FaultPlan {
     #[must_use]
     pub fn compile(&self, servers: usize, circulation_size: usize, steps: usize) -> CompiledFaults {
         let circulation_size = circulation_size.max(1);
-        let circulations = servers.div_ceil(circulation_size);
-        let mut tracks = vec![CircTrack::default(); circulations];
+        let mut windows = vec![Vec::new(); servers.div_ceil(circulation_size)];
         for event in &self.events {
             let start = event.start_step;
             let end = event.end_step.unwrap_or(steps).min(steps);
-            if start >= end {
-                continue;
-            }
-            match event.kind {
+            let circulation = match event.kind {
                 FaultKind::TegOpenCircuit {
                     server,
                     failed_devices,
-                } => {
-                    if server >= servers || failed_devices == 0 {
-                        continue;
-                    }
-                    let circ = server / circulation_size;
-                    tracks[circ].teg.push(TegWindow {
-                        offset: server % circulation_size,
-                        failed: failed_devices,
-                        start,
-                        end,
-                    });
-                }
-                FaultKind::PumpDegraded {
-                    circulation,
-                    derate,
-                } => {
-                    if circulation >= circulations {
-                        continue;
-                    }
-                    tracks[circulation].pump.push(PumpWindow {
-                        factor: derate,
-                        out: false,
-                        start,
-                        end,
-                    });
-                }
-                FaultKind::PumpOutage { circulation } => {
-                    if circulation >= circulations {
-                        continue;
-                    }
-                    tracks[circulation].pump.push(PumpWindow {
-                        factor: 0.0,
-                        out: true,
-                        start,
-                        end,
-                    });
-                }
-                FaultKind::CduOutage { circulation } => {
-                    if circulation >= circulations {
-                        continue;
-                    }
-                    tracks[circulation].cdu.push((start, end));
-                }
-                FaultKind::SensorStuck {
-                    circulation,
-                    reading,
-                } => {
-                    if circulation >= circulations {
-                        continue;
-                    }
-                    tracks[circulation].sensor.push(SensorWindow {
-                        spec: SensorSpec::Stuck(reading),
-                        start,
-                        end,
-                    });
-                }
-                FaultKind::SensorNoise { circulation, sigma } => {
-                    if circulation >= circulations {
-                        continue;
-                    }
-                    tracks[circulation].sensor.push(SensorWindow {
-                        spec: SensorSpec::Noisy(sigma),
-                        start,
-                        end,
-                    });
+                } => (server < servers && failed_devices > 0).then_some(server / circulation_size),
+                FaultKind::PumpDegraded { circulation, .. }
+                | FaultKind::PumpOutage { circulation }
+                | FaultKind::CduOutage { circulation }
+                | FaultKind::SensorStuck { circulation, .. }
+                | FaultKind::SensorNoise { circulation, .. } => Some(circulation),
+            };
+            if let Some(list) = circulation.and_then(|c| windows.get_mut(c)) {
+                if start < end {
+                    list.push((event.kind, start, end));
                 }
             }
         }
-        let any = tracks.iter().any(|t| {
-            !(t.teg.is_empty() && t.pump.is_empty() && t.sensor.is_empty() && t.cdu.is_empty())
-        });
         CompiledFaults {
             seed: self.seed,
             plausible_lo: self.plausible_lo,
             plausible_hi: self.plausible_hi,
             module_wiring: self.module_wiring,
-            tracks,
-            any,
+            circulation_size,
+            windows,
         }
     }
 }
@@ -571,45 +509,6 @@ fn step_of(hours: f64, hours_per_step: f64, steps: usize) -> usize {
     #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
     let step = (hours / hours_per_step).floor().min(steps as f64) as usize;
     step
-}
-
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct TegWindow {
-    offset: usize,
-    failed: usize,
-    start: usize,
-    end: usize,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct PumpWindow {
-    factor: f64,
-    out: bool,
-    start: usize,
-    end: usize,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum SensorSpec {
-    Stuck(Celsius),
-    Noisy(DegC),
-}
-
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct SensorWindow {
-    spec: SensorSpec,
-    start: usize,
-    end: usize,
-}
-
-#[derive(Debug, Clone, Default, PartialEq)]
-struct CircTrack {
-    teg: Vec<TegWindow>,
-    pump: Vec<PumpWindow>,
-    sensor: Vec<SensorWindow>,
-    /// CDU-outage `[start, end)` windows: the circulation is isolated
-    /// offline while any is live.
-    cdu: Vec<(usize, usize)>,
 }
 
 /// The corruption applied to one circulation's cold-source reading at
@@ -682,15 +581,17 @@ pub struct CompiledFaults {
     plausible_lo: Celsius,
     plausible_hi: Celsius,
     module_wiring: ModuleReliability,
-    tracks: Vec<CircTrack>,
-    any: bool,
+    circulation_size: usize,
+    /// Each circulation's `(kind, start, end)` windows, `[start, end)`
+    /// clipped to the run, in plan order.
+    windows: Vec<Vec<(FaultKind, usize, usize)>>,
 }
 
 impl CompiledFaults {
     /// Whether no fault is scheduled anywhere in the run.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        !self.any
+        self.windows.iter().all(Vec::is_empty)
     }
 
     /// The wiring model that maps failed-device counts onto module
@@ -703,7 +604,7 @@ impl CompiledFaults {
     /// Number of circulations the plan was compiled for.
     #[must_use]
     pub fn circulations(&self) -> usize {
-        self.tracks.len()
+        self.windows.len()
     }
 
     /// Whether a cold-source reading is physically plausible. `NaN`
@@ -724,61 +625,57 @@ impl CompiledFaults {
     /// mutable RNG state, so parallel shards see identical faults.
     #[must_use]
     pub fn active_at(&self, circulation: usize, step: usize) -> Option<ActiveFaults> {
-        let track = self.tracks.get(circulation)?;
-        let live = |s: usize, e: usize| step >= s && step < e;
-
-        let mut teg_failures: Vec<(usize, usize)> = Vec::new();
-        for w in &track.teg {
-            if live(w.start, w.end) {
-                match teg_failures.iter_mut().find(|(o, _)| *o == w.offset) {
-                    Some((_, count)) => *count += w.failed,
-                    None => teg_failures.push((w.offset, w.failed)),
+        let mut live = self
+            .windows
+            .get(circulation)?
+            .iter()
+            .filter(|&&(_, start, end)| (start..end).contains(&step))
+            .peekable();
+        live.peek()?;
+        let mut active = ActiveFaults {
+            teg_failures: Vec::new(),
+            pump_factor: 1.0,
+            pump_out: false,
+            cdu_out: false,
+            sensor: None,
+        };
+        for &(kind, _, _) in live {
+            match kind {
+                FaultKind::TegOpenCircuit {
+                    server,
+                    failed_devices,
+                } => {
+                    let offset = server % self.circulation_size;
+                    match active.teg_failures.iter_mut().find(|(o, _)| *o == offset) {
+                        Some((_, count)) => *count += failed_devices,
+                        None => active.teg_failures.push((offset, failed_devices)),
+                    }
+                }
+                // Derates multiply in plan order; an outage dominates.
+                FaultKind::PumpDegraded { derate, .. } => {
+                    if !active.pump_out {
+                        active.pump_factor *= derate;
+                    }
+                }
+                FaultKind::PumpOutage { .. } => {
+                    active.pump_out = true;
+                    active.pump_factor = 0.0;
+                }
+                FaultKind::CduOutage { .. } => active.cdu_out = true,
+                // Later-scheduled sensor windows win on overlap
+                // (documented last-writer semantics; `from_hazards`
+                // never overlaps).
+                FaultKind::SensorStuck { reading, .. } => {
+                    active.sensor = Some(SensorFault::Stuck(reading));
+                }
+                FaultKind::SensorNoise { sigma, .. } => {
+                    let offset = sigma.value() * standard_normal(self.seed, circulation, step);
+                    active.sensor = Some(SensorFault::Noisy(DegC::new(offset)));
                 }
             }
         }
-        teg_failures.sort_unstable();
-
-        let mut pump_factor = 1.0;
-        let mut pump_out = false;
-        let mut pump_active = false;
-        for w in &track.pump {
-            if live(w.start, w.end) {
-                pump_active = true;
-                if w.out {
-                    pump_out = true;
-                    pump_factor = 0.0;
-                } else if !pump_out {
-                    pump_factor *= w.factor;
-                }
-            }
-        }
-
-        // Later-scheduled sensor windows win on overlap (documented
-        // last-writer semantics; `from_hazards` never overlaps).
-        let mut sensor = None;
-        for w in &track.sensor {
-            if live(w.start, w.end) {
-                sensor = Some(match w.spec {
-                    SensorSpec::Stuck(reading) => SensorFault::Stuck(reading),
-                    SensorSpec::Noisy(sigma) => SensorFault::Noisy(DegC::new(
-                        sigma.value() * standard_normal(self.seed, circulation, step),
-                    )),
-                });
-            }
-        }
-
-        let cdu_out = track.cdu.iter().any(|&(s, e)| live(s, e));
-
-        if teg_failures.is_empty() && !pump_active && !cdu_out && sensor.is_none() {
-            return None;
-        }
-        Some(ActiveFaults {
-            teg_failures,
-            pump_factor,
-            pump_out,
-            cdu_out,
-            sensor,
-        })
+        active.teg_failures.sort_unstable();
+        Some(active)
     }
 
     /// Per-class active flags for one circulation-step, indexed by
@@ -791,63 +688,6 @@ impl CompiledFaults {
             }
         }
         out
-    }
-
-    /// Every step at which some circulation's fault picture *changes*
-    /// (a window opens or closes), mapped to the sorted, deduplicated
-    /// circulations affected at that step.
-    ///
-    /// This is the event feed a change-tolerant engine kernel consumes:
-    /// a circulation listed under a step must be re-evaluated at that
-    /// step (and its held state discarded) even if its load and cold
-    /// source look unchanged, so fault activation and recovery are
-    /// never skipped. Sensor-noise windows re-draw their offset every
-    /// step, so each step inside a noise window is an event, not just
-    /// its edges. A `BTreeMap` keyed by step keeps replay order
-    /// deterministic (h2p-lint L8).
-    #[must_use]
-    pub fn evaluation_events(&self) -> std::collections::BTreeMap<usize, Vec<usize>> {
-        let mut events: std::collections::BTreeMap<usize, Vec<usize>> =
-            std::collections::BTreeMap::new();
-        let mut note = |step: usize, circ: usize| {
-            events.entry(step).or_default().push(circ);
-        };
-        for (circ, track) in self.tracks.iter().enumerate() {
-            for w in &track.teg {
-                note(w.start, circ);
-                note(w.end, circ);
-            }
-            for w in &track.pump {
-                note(w.start, circ);
-                note(w.end, circ);
-            }
-            for w in &track.sensor {
-                match w.spec {
-                    // Stuck readings are constant inside the window:
-                    // only the edges change the picture.
-                    SensorSpec::Stuck(_) => {
-                        note(w.start, circ);
-                        note(w.end, circ);
-                    }
-                    // Noise re-draws every step: the whole window plus
-                    // the recovery edge are events.
-                    SensorSpec::Noisy(_) => {
-                        for step in w.start..=w.end {
-                            note(step, circ);
-                        }
-                    }
-                }
-            }
-            for &(start, end) in &track.cdu {
-                note(start, circ);
-                note(end, circ);
-            }
-        }
-        for circs in events.values_mut() {
-            circs.sort_unstable();
-            circs.dedup();
-        }
-        events
     }
 
     /// Journal the fault-class transitions that happen *at* `step`:
@@ -1224,55 +1064,6 @@ mod tests {
         assert!(!a.class_active(crate::FaultClass::Teg));
         assert!(compiled.active_at(1, 9).is_none());
         assert!(compiled.active_at(0, 5).is_none());
-    }
-
-    #[test]
-    fn evaluation_events_cover_window_edges_and_noise_interiors() {
-        let events = vec![
-            teg(13, 2, 5), // circulation 1, permanent: edges at 5 and 288
-            FaultEvent::windowed(FaultKind::PumpOutage { circulation: 0 }, 2, 4),
-            FaultEvent::windowed(FaultKind::CduOutage { circulation: 2 }, 2, 6),
-            FaultEvent::windowed(
-                FaultKind::SensorStuck {
-                    circulation: 3,
-                    reading: Celsius::new(20.0),
-                },
-                7,
-                9,
-            ),
-            FaultEvent::windowed(
-                FaultKind::SensorNoise {
-                    circulation: 4,
-                    sigma: DegC::new(1.0),
-                },
-                10,
-                12,
-            ),
-        ];
-        let compiled = FaultPlan::from_events(events, 0)
-            .unwrap()
-            .compile(100, 10, 288);
-        let events = compiled.evaluation_events();
-        assert_eq!(events.get(&2), Some(&vec![0, 2]));
-        assert_eq!(events.get(&4), Some(&vec![0]));
-        assert_eq!(events.get(&5), Some(&vec![1]));
-        assert_eq!(events.get(&6), Some(&vec![2]));
-        assert_eq!(events.get(&7), Some(&vec![3]));
-        assert_eq!(events.get(&9), Some(&vec![3]));
-        // Noise windows are events at every interior step plus the
-        // recovery edge.
-        for step in 10..=12 {
-            assert_eq!(events.get(&step), Some(&vec![4]), "step {step}");
-        }
-        // The permanent TEG window closes at the run horizon.
-        assert_eq!(events.get(&288), Some(&vec![1]));
-        assert!(!events.contains_key(&3));
-        // Every listed step/circulation pair is a real transition or a
-        // live noise step; the empty plan has no events at all.
-        assert!(FaultPlan::none()
-            .compile(100, 10, 288)
-            .evaluation_events()
-            .is_empty());
     }
 
     #[test]

@@ -303,9 +303,12 @@ fn content_length(headers: &[(String, String)]) -> Result<usize, HttpError> {
         if name != "content-length" {
             continue;
         }
-        let parsed: usize = value
-            .parse()
-            .map_err(|_| HttpError::BadContentLength(format!("not a number: {value:?}")))?;
+        // RFC 9110: `1*DIGIT`. `usize::from_str` alone would also take
+        // a leading `+`, which a front proxy may frame differently.
+        let parsed: usize = Some(value)
+            .filter(|v| v.bytes().all(|b| b.is_ascii_digit()))
+            .and_then(|v| v.parse().ok())
+            .ok_or_else(|| HttpError::BadContentLength(format!("not a number: {value:?}")))?;
         match declared {
             Some(previous) if previous != parsed => {
                 return Err(HttpError::BadContentLength(format!(

@@ -46,7 +46,7 @@ pub fn sorted_ids(seen: &HashSet<u64>) -> Vec<u64> {
 /// Draining `step → circulations` in hash order would make the
 /// re-evaluation schedule (and hence every downstream fold) differ
 /// run to run; such a queue must be a `BTreeMap` (or a sorted `Vec`),
-/// as in `h2p_faults::CompiledFaults::evaluation_events`.
+/// so steps drain in step order on every run.
 pub struct EventQueue {
     forced: HashMap<usize, Vec<usize>>,
 }
