@@ -37,7 +37,6 @@ use h2p_core::simulation::{SimulationResult, Simulator};
 use h2p_sched::LoadBalance;
 use h2p_workload::{TraceGenerator, TraceKind};
 use std::num::NonZeroUsize;
-use std::path::PathBuf;
 use std::time::Instant;
 
 /// Resident-trace budget handed to `ChunkPlan::sized_for`.
@@ -70,14 +69,7 @@ fn bit_identical(a: &SimulationResult, b: &SimulationResult) -> bool {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let out = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .map(PathBuf::from)
-        .unwrap_or_else(|| h2p_bench::bench_output_path("BENCH_fleet.json"));
+    let h2p_bench::BenchArgs { smoke, out } = h2p_bench::BenchArgs::parse("BENCH_fleet.json");
 
     let (servers, steps) = if smoke { (10_000, 48) } else { (100_000, 288) };
     let sim = Simulator::paper_default().unwrap();

@@ -38,7 +38,6 @@ use h2p_serve::ServiceConfig;
 use serde_json::{json, Value};
 use std::net::TcpListener;
 use std::num::NonZeroUsize;
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 
 /// The scaling curve's replica counts (the ISSUE 9 acceptance axis).
@@ -67,14 +66,7 @@ fn with_served<T>(gateway: &Gateway, f: impl FnOnce(&str) -> T) -> T {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let out = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .map(PathBuf::from)
-        .unwrap_or_else(|| h2p_bench::bench_output_path("BENCH_serve.json"));
+    let h2p_bench::BenchArgs { smoke, out } = h2p_bench::BenchArgs::parse("BENCH_serve.json");
 
     let (scenarios, requests, connections, servers, steps) = if smoke {
         (8, 48, 4, 40, 4)

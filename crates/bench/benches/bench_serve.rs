@@ -33,7 +33,6 @@ use h2p_server::ServerModel;
 use h2p_telemetry::Registry;
 use h2p_workload::TraceKind;
 use std::collections::HashMap;
-use std::path::PathBuf;
 use std::time::Instant;
 
 /// Replays of the whole mix; round one is cold, later rounds hit the
@@ -50,14 +49,7 @@ fn bit_identical(a: &SimulationResult, b: &SimulationResult) -> bool {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let out = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .map(PathBuf::from)
-        .unwrap_or_else(|| h2p_bench::bench_output_path("BENCH_serve.json"));
+    let h2p_bench::BenchArgs { smoke, out } = h2p_bench::BenchArgs::parse("BENCH_serve.json");
 
     let (servers, steps) = if smoke { (200, 24) } else { (1000, 288) };
     let workers = h2p_exec::worker_count();

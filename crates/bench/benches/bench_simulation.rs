@@ -43,7 +43,6 @@ use h2p_sched::LoadBalance;
 use h2p_telemetry::Registry;
 use h2p_workload::{TraceGenerator, TraceKind};
 use std::num::NonZeroUsize;
-use std::path::PathBuf;
 use std::time::Instant;
 
 fn nz(n: usize) -> NonZeroUsize {
@@ -93,14 +92,7 @@ fn run_kernel(
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let out = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .map(PathBuf::from)
-        .unwrap_or_else(|| h2p_bench::bench_output_path("BENCH_simulation.json"));
+    let h2p_bench::BenchArgs { smoke, out } = h2p_bench::BenchArgs::parse("BENCH_simulation.json");
 
     let (servers, steps) = if smoke { (200, 24) } else { (1000, 288) };
     // The Common (Google-like) class is ISSUE 7's reference workload

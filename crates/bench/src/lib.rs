@@ -73,6 +73,40 @@ pub fn bench_output_path(file_name: &str) -> std::path::PathBuf {
         .join(file_name)
 }
 
+/// The command line shared by the `BENCH_*.json` benches: `--smoke`
+/// shrinks the workload for CI and `--out <path>` overrides the report
+/// location.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct BenchArgs {
+    /// Whether `--smoke` was given.
+    pub smoke: bool,
+    /// The `--out` path, else [`bench_output_path`] of the default file.
+    pub out: std::path::PathBuf,
+}
+
+impl BenchArgs {
+    /// Parses the process arguments; `default_file` names the report
+    /// written when `--out` is absent.
+    #[must_use]
+    pub fn parse(default_file: &str) -> Self {
+        Self::from_args(&std::env::args().collect::<Vec<_>>(), default_file)
+    }
+
+    /// [`parse`](Self::parse) over an explicit argument list.
+    #[must_use]
+    pub fn from_args(args: &[String], default_file: &str) -> Self {
+        let out = args
+            .iter()
+            .position(|a| a == "--out")
+            .and_then(|i| args.get(i + 1))
+            .map_or_else(|| bench_output_path(default_file), Into::into);
+        BenchArgs {
+            smoke: args.iter().any(|a| a == "--smoke"),
+            out,
+        }
+    }
+}
+
 /// Whether the process was invoked with `--json`.
 #[must_use]
 pub fn json_mode() -> bool {
@@ -147,6 +181,20 @@ mod tests {
             assert!(r.result.average_teg_power().unwrap().value() > 1.0);
             assert_eq!(r.result.total_violations(), 0);
         }
+    }
+
+    #[test]
+    fn bench_args_read_smoke_and_out() {
+        let args = |list: &[&str]| list.iter().map(|a| (*a).to_owned()).collect::<Vec<_>>();
+        let plain = BenchArgs::from_args(&args(&["bench"]), "BENCH_x.json");
+        assert!(!plain.smoke);
+        assert_eq!(plain.out, bench_output_path("BENCH_x.json"));
+        let given = BenchArgs::from_args(&args(&["bench", "--out", "r.json", "--smoke"]), "B");
+        assert!(given.smoke);
+        assert_eq!(given.out, std::path::PathBuf::from("r.json"));
+        // A trailing `--out` with no path falls back to the default.
+        let dangling = BenchArgs::from_args(&args(&["bench", "--out"]), "BENCH_x.json");
+        assert_eq!(dangling.out, bench_output_path("BENCH_x.json"));
     }
 
     #[test]

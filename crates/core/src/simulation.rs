@@ -835,6 +835,13 @@ impl Simulator {
         &self.space
     }
 
+    /// The model's CPU envelope: a server-step whose predicted die
+    /// temperature exceeds it counts as a thermal violation.
+    #[must_use]
+    pub fn max_operating(&self) -> Celsius {
+        self.max_operating
+    }
+
     /// Runs a policy over a cluster trace.
     ///
     /// # Errors

@@ -3,30 +3,33 @@
 //! [`PlacementEngine::place`] walks the control intervals of a run:
 //! each step it recomputes committed demand from the jobs still
 //! running, admits queued jobs first (FIFO) and then this step's
-//! arrivals in `(arrival step, job id)` order, asks the
-//! [`PlacementPolicy`](crate::PlacementPolicy) for a server per job,
+//! arrivals in `(arrival step, job id)` order through one admission
+//! path — the [`PlacementPolicy`](crate::PlacementPolicy) names a
+//! server and [`ClusterView::fits`] is the only capacity check —
 //! snapshots the committed column into the synthesized trace, and
 //! finally mirrors the simulation engine's thermal step (Sec. V-B
-//! decision, outlet/die lookups, Eq. 3 TEG output) to refresh the
-//! [`ServerState`]s the *next* step's decisions will see. Policies
-//! therefore act on prior-step thermals plus current-step committed
-//! demand — never on anything downstream of their own decision — which
-//! is what makes the loop a pure sequential function of its inputs.
+//! decision, outlet/die lookups) to refresh the [`ServerState`]s the
+//! *next* step's decisions will see. Policies therefore act on
+//! prior-step thermals plus current-step committed demand — never on
+//! anything downstream of their own decision — which is what makes the
+//! loop a pure sequential function of its inputs.
 //!
-//! Every cooling decision — the thermal step's and the harvest scorer's
-//! — is [`Simulator::cooling_setting`], the simulator's own decision
-//! path and exact-key cache, so placement and simulation share one
-//! memo and cannot disagree on a setting. The thermal step stays here
-//! only because it keeps per-server state the engine step does not
-//! return: each server's outlet, load, TEG output and its setting's
-//! safe utilization cap (memoized per setting, placement-only).
+//! Placement re-derives nothing the simulator owns. Every cooling
+//! decision — the thermal step's and the harvest scorer's — is
+//! [`Simulator::cooling_setting`], so placement and simulation share
+//! one memo and cannot disagree on a setting; the envelope is
+//! [`Simulator::max_operating`] and a violation is the engine's own
+//! rule, a looked-up die temperature above it. The thermal step stays
+//! here only because it keeps per-server state the engine step does
+//! not return: each server's outlet and its setting's safe utilization
+//! cap (memoized per setting, placement-only).
 
 use crate::{Job, JobsError};
 use h2p_core::simulation::Simulator;
 use h2p_sched::SchedulingPolicy;
 use h2p_server::ThrottleController;
 use h2p_telemetry::{BucketSpec, Counter, Histogram, Registry};
-use h2p_units::{Celsius, Seconds, Utilization, Watts};
+use h2p_units::{Celsius, Seconds, Utilization};
 use h2p_workload::{ClusterTrace, Trace};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -43,30 +46,13 @@ const CAPACITY_SLACK: f64 = 1e-9;
 /// setting.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServerState {
-    /// Coolant inlet temperature chosen for the server's circulation.
-    pub inlet: Celsius,
     /// The server's coolant outlet temperature.
     pub outlet: Celsius,
-    /// The load the scheduling policy assigned the server.
-    pub utilization: Utilization,
-    /// Highest utilization whose predicted die temperature stays under
-    /// the hard envelope at the circulation's cooling setting.
+    /// Highest utilization whose predicted die temperature stays at or
+    /// under the simulator's envelope
+    /// ([`Simulator::max_operating`]) at the circulation's cooling
+    /// setting.
     pub safe_cap: Utilization,
-    /// Per-server TEG output at the circulation's setting (Eq. 3).
-    pub teg_power: Watts,
-}
-
-impl ServerState {
-    /// A cold-start placeholder used before the first thermal pass.
-    fn initial(t_safe: Celsius) -> Self {
-        ServerState {
-            inlet: t_safe,
-            outlet: t_safe,
-            utilization: Utilization::IDLE,
-            safe_cap: Utilization::FULL,
-            teg_power: Watts::new(0.0),
-        }
-    }
 }
 
 /// Scores the marginal TEG-harvest effect of adding demand to a
@@ -101,12 +87,6 @@ impl ClusterView<'_> {
     #[must_use]
     pub fn servers(&self) -> usize {
         self.states.len()
-    }
-
-    /// Servers per water circulation (CDU granularity).
-    #[must_use]
-    pub fn circulation_size(&self) -> usize {
-        self.circ_size
     }
 
     /// Previous-step state of one server.
@@ -262,8 +242,10 @@ pub struct PlacementOutcome {
     /// Queued jobs that eventually landed on a different server than
     /// the policy's recorded first choice.
     pub migrated: usize,
-    /// Server-steps whose scheduled load exceeded the safety cap of
-    /// the circulation's cooling setting (hard envelope, 78.9 °C die).
+    /// Server-steps whose predicted die temperature exceeded the
+    /// simulator's envelope ([`Simulator::max_operating`]) — the
+    /// engine's own violation rule, so a simulation run over the
+    /// placed trace records the same count.
     pub throttle_violations: usize,
     /// Total committed demand summed over servers and steps — the
     /// served work, comparable across policies when nothing queues.
@@ -284,7 +266,8 @@ pub struct PlacementRun {
     pub outcome: PlacementOutcome,
 }
 
-/// One job waiting for capacity, with its admission bookkeeping.
+/// One job awaiting admission: a fresh arrival or a queued job, with
+/// its admission bookkeeping.
 struct Queued {
     job: usize,
     arrival_step: usize,
@@ -298,7 +281,6 @@ pub struct PlacementEngine<'a> {
     sched: &'a dyn SchedulingPolicy,
     servers: usize,
     steps: usize,
-    interval: Seconds,
     queue_capacity: usize,
     telemetry: JobsTelemetry,
 }
@@ -309,8 +291,8 @@ impl<'a> PlacementEngine<'a> {
     /// given scheduling policy (pass the same policy to the simulation
     /// run for a consistent closed loop).
     ///
-    /// The control interval defaults to the paper's five minutes and
-    /// the admission queue to 1024 jobs.
+    /// The control interval is the paper's five minutes and the
+    /// admission queue defaults to 1024 jobs.
     ///
     /// # Errors
     ///
@@ -329,17 +311,9 @@ impl<'a> PlacementEngine<'a> {
             sched,
             servers,
             steps,
-            interval: Seconds::minutes(5.0),
             queue_capacity: 1024,
             telemetry: JobsTelemetry::disabled(),
         })
-    }
-
-    /// Sets the control interval.
-    #[must_use]
-    pub fn with_interval(mut self, interval: Seconds) -> Self {
-        self.interval = interval;
-        self
     }
 
     /// Sets the admission-queue capacity (jobs beyond it are rejected).
@@ -359,7 +333,7 @@ impl<'a> PlacementEngine<'a> {
     /// The control interval.
     #[must_use]
     pub fn interval(&self) -> Seconds {
-        self.interval
+        Seconds::minutes(5.0)
     }
 
     /// Number of servers.
@@ -389,23 +363,23 @@ impl<'a> PlacementEngine<'a> {
         jobs: &[Job],
         policy: &mut dyn crate::PlacementPolicy,
     ) -> Result<PlacementRun, JobsError> {
+        let interval = self.interval();
         let circ_size = self
             .sim
             .config()
             .servers_per_circulation
             .min(self.servers)
             .max(1);
-        let throttle = ThrottleController::at_max_operating();
 
         // Admission order: (arrival step, id), ids breaking ties within
         // a step. Jobs arriving at or after the horizon are rejected.
         let mut order: Vec<usize> = (0..jobs.len()).collect();
-        order.sort_by_key(|&i| (jobs[i].arrival_step(self.interval), jobs[i].id()));
+        order.sort_by_key(|&i| (jobs[i].arrival_step(interval), jobs[i].id()));
         let horizon_rejects = order
             .iter()
-            .filter(|&&i| jobs[i].arrival_step(self.interval) >= self.steps)
+            .filter(|&&i| jobs[i].arrival_step(interval) >= self.steps)
             .count();
-        order.retain(|&i| jobs[i].arrival_step(self.interval) < self.steps);
+        order.retain(|&i| jobs[i].arrival_step(interval) < self.steps);
 
         let mut outcome = PlacementOutcome {
             placed: 0,
@@ -421,7 +395,11 @@ impl<'a> PlacementEngine<'a> {
         let mut active: Vec<(usize, usize, usize)> = Vec::new();
         let mut queue: Vec<Queued> = Vec::new();
         let mut demand = vec![0.0_f64; self.servers];
-        let mut states = vec![ServerState::initial(self.sim.config().t_safe); self.servers];
+        let initial = ServerState {
+            outlet: self.sim.config().t_safe,
+            safe_cap: Utilization::FULL,
+        };
+        let mut states = vec![initial; self.servers];
         let mut series: Vec<Vec<f64>> = vec![Vec::with_capacity(self.steps); self.servers];
 
         // Safety caps by setting bits (flow, inlet): placement-only
@@ -432,18 +410,11 @@ impl<'a> PlacementEngine<'a> {
         // cluster idling at the cold-source temperature of time zero.
         let cold = self.sim.config().cold_source.temperature(Seconds::new(0.0));
         let idle = vec![Utilization::IDLE; self.servers];
-        self.thermal_pass(
-            &idle,
-            circ_size,
-            cold,
-            &throttle,
-            &mut safe_caps,
-            &mut states,
-        )?;
+        self.thermal_pass(&idle, circ_size, cold, &mut safe_caps, &mut states)?;
 
-        let mut next_arrival = 0usize;
+        let mut arrivals = order.into_iter().peekable();
         for step in 0..self.steps {
-            let time = Seconds::new(self.interval.value() * step as f64);
+            let time = Seconds::new(interval.value() * step as f64);
             let cold = self.sim.config().cold_source.temperature(time);
 
             // Release finished jobs and rebuild the committed column
@@ -461,55 +432,46 @@ impl<'a> PlacementEngine<'a> {
                 cold,
             };
 
-            // Queued jobs first (FIFO), then this step's arrivals.
-            let waiting = std::mem::take(&mut queue);
-            for q in waiting {
+            // One admission path: queued jobs first (FIFO), then this
+            // step's arrivals. A job lands only where the view says it
+            // fits; a queued job that does not land keeps its place, an
+            // arrival joins the queue while there is room.
+            let mut pending = std::mem::take(&mut queue);
+            while let Some(job) = arrivals.next_if(|&i| jobs[i].arrival_step(interval) == step) {
+                pending.push(Queued {
+                    job,
+                    arrival_step: step,
+                    first_choice: None,
+                });
+            }
+            for q in pending {
                 let job = &jobs[q.job];
-                let choice = {
-                    let view = view(&states, &demand, circ_size, &scorer);
-                    policy.place(job, &view)
-                };
-                match choice {
-                    Some(s)
-                        if s < self.servers
-                            && demand[s] + job.demand().value() <= 1.0 + CAPACITY_SLACK =>
-                    {
-                        self.commit(job, q.job, s, step, &mut demand, &mut active, &mut outcome);
+                let view = view(&states, &demand, circ_size, &scorer);
+                let choice = policy.place(job, &view);
+                match choice.filter(|&s| view.fits(s, job.demand())) {
+                    Some(server) => {
+                        demand[server] += job.demand().value();
+                        // Saturating: any finite duration is a valid
+                        // job, and a huge one simply outlives the
+                        // horizon.
+                        let end = step.saturating_add(job.duration_steps(interval));
+                        active.push((q.job, end, server));
+                        outcome.placed += 1;
+                        self.telemetry.placed.add(1);
                         let wait = step - q.arrival_step;
                         outcome.max_queue_wait_steps = outcome.max_queue_wait_steps.max(wait);
                         self.telemetry.queue_wait.record(wait as u64);
-                        if q.first_choice.is_some_and(|first| first != s) {
+                        if q.first_choice.is_some_and(|first| first != server) {
                             outcome.migrated += 1;
                             self.telemetry.migrated.add(1);
                         }
                     }
-                    _ => queue.push(q),
-                }
-            }
-            while next_arrival < order.len()
-                && jobs[order[next_arrival]].arrival_step(self.interval) == step
-            {
-                let index = order[next_arrival];
-                next_arrival += 1;
-                let job = &jobs[index];
-                let choice = {
-                    let view = view(&states, &demand, circ_size, &scorer);
-                    policy.place(job, &view)
-                };
-                match choice {
-                    Some(s)
-                        if s < self.servers
-                            && demand[s] + job.demand().value() <= 1.0 + CAPACITY_SLACK =>
-                    {
-                        self.commit(job, index, s, step, &mut demand, &mut active, &mut outcome);
-                        self.telemetry.queue_wait.record(0);
-                    }
-                    choice if queue.len() < self.queue_capacity => queue.push(Queued {
-                        job: index,
-                        arrival_step: step,
+                    None if q.arrival_step < step => queue.push(q),
+                    None if queue.len() < self.queue_capacity => queue.push(Queued {
                         first_choice: choice,
+                        ..q
                     }),
-                    _ => {
+                    None => {
                         outcome.rejected += 1;
                         self.telemetry.rejected.add(1);
                     }
@@ -525,14 +487,8 @@ impl<'a> PlacementEngine<'a> {
                 outcome.served_demand_steps += u.value();
                 series[s].push(u.value());
             }
-            outcome.throttle_violations += self.thermal_pass(
-                &column,
-                circ_size,
-                cold,
-                &throttle,
-                &mut safe_caps,
-                &mut states,
-            )?;
+            outcome.throttle_violations +=
+                self.thermal_pass(&column, circ_size, cold, &mut safe_caps, &mut states)?;
         }
 
         // Whatever is still queued when the horizon ends never ran.
@@ -541,76 +497,47 @@ impl<'a> PlacementEngine<'a> {
 
         let traces = series
             .into_iter()
-            .map(|values| Trace::new(self.interval, values))
+            .map(|values| Trace::new(interval, values))
             .collect::<Result<Vec<_>, _>>()?;
         let trace = ClusterTrace::new(traces)?;
         Ok(PlacementRun { trace, outcome })
     }
 
-    /// Commits a job to a server.
-    #[allow(clippy::too_many_arguments)]
-    fn commit(
-        &self,
-        job: &Job,
-        index: usize,
-        server: usize,
-        step: usize,
-        demand: &mut [f64],
-        active: &mut Vec<(usize, usize, usize)>,
-        outcome: &mut PlacementOutcome,
-    ) {
-        demand[server] += job.demand().value();
-        // Saturating: any finite duration is a valid job, and a huge
-        // one simply outlives the horizon.
-        let end = step.saturating_add(job.duration_steps(self.interval));
-        active.push((index, end, server));
-        outcome.placed += 1;
-        self.telemetry.placed.add(1);
-    }
-
     /// Mirrors one thermal step of the simulation engine over the
     /// committed column: per circulation, schedule, take the
     /// simulator's cooling decision, and refresh every server's
-    /// observable state. Returns the number of scheduled loads
-    /// exceeding the safety cap.
+    /// observable state. Returns the number of server-steps whose
+    /// looked-up die temperature exceeds the simulator's envelope —
+    /// the engine's own violation rule.
     fn thermal_pass(
         &self,
         column: &[Utilization],
         circ_size: usize,
         cold: Celsius,
-        throttle: &ThrottleController,
         safe_caps: &mut HashMap<(u64, u64), Utilization>,
         states: &mut [ServerState],
     ) -> Result<usize, JobsError> {
         let space = self.sim.lookup_space();
-        let module = self.sim.config().module;
+        let envelope = self.sim.max_operating();
         let mut violations = 0usize;
         for (circ, chunk) in column.chunks(circ_size).enumerate() {
             let u_ctrl = self.sched.control_utilization(chunk);
-            let setting = self.sim.cooling_setting(u_ctrl, cold)?;
-            let flow = setting.setting.flow;
-            let inlet = setting.setting.inlet;
+            let setting = self.sim.cooling_setting(u_ctrl, cold)?.setting;
+            let (flow, inlet) = (setting.flow, setting.inlet);
             let cap_key = (flow.value().to_bits(), inlet.value().to_bits());
             let safe_cap = match safe_caps.entry(cap_key) {
                 Entry::Occupied(entry) => *entry.get(),
-                Entry::Vacant(entry) => {
-                    *entry.insert(throttle.max_safe_utilization_in_space(space, flow, inlet)?)
-                }
+                Entry::Vacant(entry) => *entry.insert(
+                    ThrottleController::new(envelope)
+                        .max_safe_utilization_in_space(space, flow, inlet)?,
+                ),
             };
-            let scheduled = self.sched.schedule(chunk);
-            for (offset, &u) in scheduled.iter().enumerate() {
-                let server = circ * circ_size + offset;
+            for (offset, &u) in self.sched.schedule(chunk).iter().enumerate() {
                 let outlet = space.outlet_temperature(u, flow, inlet)?;
-                if u.value() > safe_cap.value() {
+                if space.cpu_temperature(u, flow, inlet)? > envelope {
                     violations += 1;
                 }
-                states[server] = ServerState {
-                    inlet,
-                    outlet,
-                    utilization: u,
-                    safe_cap,
-                    teg_power: module.max_power(outlet - cold),
-                };
+                states[circ * circ_size + offset] = ServerState { outlet, safe_cap };
             }
         }
         Ok(violations)
@@ -639,11 +566,8 @@ pub(crate) mod tests {
         outlets
             .iter()
             .map(|&o| ServerState {
-                inlet: Celsius::new(40.0),
                 outlet: Celsius::new(o),
-                utilization: Utilization::IDLE,
                 safe_cap: Utilization::FULL,
-                teg_power: Watts::new(0.0),
             })
             .collect()
     }
@@ -666,7 +590,6 @@ pub(crate) mod tests {
         let scorer = FixedScorer(vec![1.5, -2.0]);
         let view = view(&states, &committed, 2, &scorer);
         assert_eq!(view.servers(), 2);
-        assert_eq!(view.circulation_size(), 2);
         assert_eq!(view.state(1).outlet, Celsius::new(47.0));
         assert_eq!(view.committed(1), 0.25);
         assert_eq!(view.harvest_delta(0, Utilization::saturating(0.3)), 1.5);

@@ -10,6 +10,15 @@
 //! harvest, cooling energy, and throttle risk against each other,
 //! which no load-oblivious trace ever could.
 //!
+//! Placement asks the [`Simulator`](h2p_core::simulation::Simulator)
+//! for everything the engine owns: cooling decisions
+//! (`cooling_setting`), thermals (`lookup_space`) and the CPU envelope
+//! (`max_operating`). A policy sees each server's previous-step outlet
+//! and safe utilization cap; a server-step counts as a throttle
+//! violation under the engine's own rule, so
+//! [`PlacementOutcome::throttle_violations`] equals the violation count
+//! of a simulation run over the placed trace.
+//!
 //! # Determinism contract
 //!
 //! The placement engine is strictly sequential and its decisions

@@ -7,6 +7,11 @@
 //! directly, to the bit. Placement decides cooling through the
 //! simulator's own cached decision path, so a placement is equally
 //! blind to how warm that cache is.
+//!
+//! Placement's own output is pinned too: a digest recorded before the
+//! admission path and the thermal pass were restructured, and a
+//! lowered-envelope run where placement's violation count must equal
+//! the engine's.
 
 // Test/bench code opts back into panicking unwraps (see [workspace.lints]).
 #![allow(
@@ -20,12 +25,13 @@ use h2p_core::fleet::EngineLayout;
 use h2p_core::kernel::KernelTolerance;
 use h2p_core::simulation::{SimulationConfig, SimulationResult, Simulator};
 use h2p_jobs::{
-    synthetic_jobs, HarvestAware, PlacementEngine, PlacementPolicyKind, PlacementRun, RoundRobin,
+    synthetic_jobs, ClusterView, HarvestAware, Job, PlacementEngine, PlacementPolicy,
+    PlacementPolicyKind, PlacementRun, RoundRobin,
 };
-use h2p_sched::Original;
-use h2p_server::ServerModel;
+use h2p_sched::{LoadBalance, Original, SchedulingPolicy};
+use h2p_server::{CpuSpec, PowersaveGovernor, ServerModel};
 use h2p_telemetry::Registry;
-use h2p_units::{Seconds, Utilization};
+use h2p_units::{Celsius, Seconds, Utilization};
 use h2p_workload::{ClusterTrace, Trace, TraceKind};
 use std::num::NonZeroUsize;
 use std::sync::OnceLock;
@@ -315,4 +321,153 @@ fn a_job_outliving_any_horizon_serves_until_the_horizon() {
     assert_eq!(run.outcome.rejected, 0);
     // Arrives in step 1 of 6, then runs to the horizon: 5 × 0.5.
     assert_eq!(run.outcome.served_demand_steps, 2.5);
+}
+
+/// 64-bit FNV-1a over little-endian words.
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Self {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn eat(&mut self, word: u64) {
+        for byte in word.to_le_bytes() {
+            self.0 ^= u64::from(byte);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    fn eat_run(&mut self, run: &PlacementRun) {
+        for step in 0..run.trace.steps() {
+            for u in run.trace.utilizations_at(step) {
+                self.eat(u.value().to_bits());
+            }
+        }
+        let o = run.outcome;
+        for count in [
+            o.placed,
+            o.rejected,
+            o.migrated,
+            o.throttle_violations,
+            o.max_queue_wait_steps,
+        ] {
+            self.eat(count as u64);
+        }
+        self.eat(o.served_demand_steps.to_bits());
+    }
+}
+
+/// A test policy that ignores capacity: it names servers in a fixed
+/// stride, so a deferred job's recorded first choice differs from the
+/// server it lands on when the queue re-admits it (a migration).
+struct Stride(usize);
+
+impl PlacementPolicy for Stride {
+    fn name(&self) -> &'static str {
+        "stride"
+    }
+
+    fn place(&mut self, _job: &Job, view: &ClusterView<'_>) -> Option<usize> {
+        self.0 += 7;
+        Some(self.0 % view.servers())
+    }
+}
+
+/// More work than 80 servers hold: 40 arrivals per step of 3–7 steps
+/// at 0.3–0.9 demand each.
+fn oversubscribed_jobs(interval: Seconds) -> Vec<Job> {
+    (0..480_u64)
+        .map(|i| {
+            Job::new(
+                i,
+                Seconds::new(interval.value() * (i / 40) as f64),
+                Seconds::new(interval.value() * (3 + i % 5) as f64),
+                Utilization::saturating(0.3 + 0.1 * (i % 7) as f64),
+            )
+            .unwrap()
+        })
+        .collect()
+}
+
+/// The paper-scale probe shape: two 40-server circulations.
+const PROBE_SERVERS: usize = 80;
+const PROBE_STEPS: usize = 24;
+const SCHEDS: [&dyn SchedulingPolicy; 2] = [&Original, &LoadBalance];
+
+#[test]
+fn placement_bits_match_the_recorded_digest() {
+    let sim = Simulator::paper_default().unwrap();
+    let mut digest = Fnv::new();
+    for kind in TraceKind::all() {
+        for sched in SCHEDS {
+            let engine = PlacementEngine::new(&sim, sched, PROBE_SERVERS, PROBE_STEPS).unwrap();
+            let jobs = synthetic_jobs(kind, 7, PROBE_SERVERS, PROBE_STEPS, engine.interval());
+            for policy in PlacementPolicyKind::ALL {
+                digest.eat_run(&engine.place(&jobs, &mut *policy.build()).unwrap());
+            }
+        }
+    }
+
+    // Over-subscribed: queue re-admission, migration and rejection all
+    // contribute to the digest.
+    let (mut migrated, mut rejected, mut waited) = (0, 0, 0);
+    for sched in SCHEDS {
+        let engine = PlacementEngine::new(&sim, sched, PROBE_SERVERS, PROBE_STEPS)
+            .unwrap()
+            .with_queue_capacity(16);
+        let jobs = oversubscribed_jobs(engine.interval());
+        let mut policies: Vec<Box<dyn PlacementPolicy>> =
+            PlacementPolicyKind::ALL.iter().map(|k| k.build()).collect();
+        policies.push(Box::new(Stride(0)));
+        for mut policy in policies {
+            let run = engine.place(&jobs, &mut *policy).unwrap();
+            migrated += run.outcome.migrated;
+            rejected += run.outcome.rejected;
+            waited += run.outcome.max_queue_wait_steps;
+            digest.eat_run(&run);
+        }
+    }
+    assert!(migrated > 0 && rejected > 0 && waited > 0);
+    assert_eq!(format!("{:016x}", digest.0), "1ff6da12e1250b1d");
+}
+
+#[test]
+fn placement_counts_violations_against_the_simulators_envelope() {
+    let paper = ServerModel::paper_default();
+    let mut any = 0;
+    for envelope in [60.0, 62.5] {
+        let model = ServerModel::new(
+            *paper.power_model(),
+            *paper.cold_plate(),
+            PowersaveGovernor::paper_default(),
+            CpuSpec {
+                max_operating: Celsius::new(envelope),
+                ..CpuSpec::e5_2650_v3()
+            },
+        );
+        let sim = Simulator::new(&model, SimulationConfig::paper_default()).unwrap();
+        for sched in SCHEDS {
+            let engine = PlacementEngine::new(&sim, sched, PROBE_SERVERS, PROBE_STEPS).unwrap();
+            let jobs = synthetic_jobs(
+                TraceKind::Common,
+                7,
+                PROBE_SERVERS,
+                PROBE_STEPS,
+                engine.interval(),
+            );
+            for policy in PlacementPolicyKind::ALL {
+                let placed = engine.place(&jobs, &mut *policy.build()).unwrap();
+                let engine_count = sim.run(&placed.trace, sched).unwrap().total_violations();
+                assert_eq!(
+                    placed.outcome.throttle_violations,
+                    engine_count,
+                    "{envelope} °C, {}, {policy}",
+                    sched.name()
+                );
+                any += engine_count;
+            }
+        }
+    }
+    assert!(any > 0, "the lowered envelope must bite somewhere");
 }
